@@ -33,22 +33,35 @@ EXIT_NUMERICAL = 3
 
 def read_values(path: str) -> np.ndarray:
     """Parse one numeric value per line; a non-numeric first line is treated
-    as a header and skipped; values may carry commas (single-column CSV)."""
+    as a header and skipped; a value may carry commas (single-column CSV, so
+    `1.5,` is read as 1.5), but a line with two or more values is rejected."""
     text = Path(path).read_text()
     values: list[float] = []
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ValueError("input file is empty")
-    for idx, line in enumerate(lines):
-        tokens = [tok.strip() for tok in line.split(",") if tok.strip()]
+    header_ok = True  # until the first non-empty line has been read
+    for number, line in enumerate(text.splitlines(), start=1):
+        try:
+            values.append(float(line))  # the common case: one bare value
+            continue
+        except ValueError:
+            pass
+        line = line.strip()
+        if not line:
+            continue
+        tokens = [tok for tok in line.split(",") if tok.strip()]
         try:
             nums = [float(tok) for tok in tokens]
         except ValueError:
-            if idx == 0:
+            if header_ok and not values:
+                header_ok = False
                 continue  # header line
-            raise ValueError(f"non-numeric data at line {idx + 1}: {line!r}") from None
+            raise ValueError(f"non-numeric data at line {number}: {line!r}") from None
+        header_ok = False
+        if len(nums) > 1:
+            raise ValueError(f"{len(nums)} values at line {number}, expected one per line "
+                             f"(multi-column input is not supported): {line!r}")
         values.extend(nums)
+    if header_ok and not values:
+        raise ValueError("input file is empty")
     if len(values) < 8:
         raise ValueError(f"need at least 8 numeric values, found {len(values)}")
     arr = np.asarray(values, dtype=float)
@@ -67,6 +80,10 @@ def _k_pairs_for(kind: str, k_pairs: int | None, projections: int) -> int:
     if projections % 2 != 0 or projections < 2:
         raise ValueError("--projections must be an even number >= 2")
     return projections // 2
+
+
+def _rp_label(pairs: int) -> str:
+    return "RP" if pairs == 2 else f"RPmulti:{pairs}"
 
 
 def run_test_command(args) -> dict:
@@ -95,8 +112,7 @@ def run_test_command(args) -> dict:
         pairs = _k_pairs_for(kind, k_pairs, args.projections)
         report = rp_test_multi(series, pairs, rng, alpha=alpha,
                                epps_mode=args.epps_lambda or RANDOM, lv=lv_cfg)
-        label = "RP" if pairs == 2 else f"RPmulti:{pairs}"
-        result = {"kind": label, "p_value": report.combined_p,
+        result = {"kind": _rp_label(pairs), "p_value": report.combined_p,
                   "reject": report.reject, **report.as_dict()}
 
     return {
@@ -160,6 +176,17 @@ def _cells_from_file(path: str, args) -> list[dict]:
     return cells
 
 
+def _cell_test_token(test: str, projections: int) -> str:
+    """The test kind a cell runs: RP takes its size from --projections, and
+    RPmulti:k keeps its own pair count."""
+    kind, k_pairs = parse_test_kind(test)
+    if kind == "RPmulti":
+        return test
+    if kind == "RP":
+        return _rp_label(_k_pairs_for(kind, k_pairs, projections))
+    return kind
+
+
 def run_simulate_command(args, out) -> None:
     if args.experiment:
         cells = _cells_from_file(args.experiment, args)
@@ -169,12 +196,12 @@ def run_simulate_command(args, out) -> None:
         raise ValueError("no simulation cells requested")
     lv_cfg = _lv_config(args)
     rng = RngStream(args.seed)
+    # resolve every test token first, so a bad --projections fails before any output
+    tokens = [_cell_test_token(cell["test"], args.projections) for cell in cells]
 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["q", "dist", "test", "n", "reps", "rate", "se"])
-    for cell in cells:
-        kind, k_pairs = parse_test_kind(cell["test"])
-        test_token = cell["test"] if kind == "RPmulti" else kind
+    for cell, test_token in zip(cells, tokens):
         if cell.get("process", "ar1") == "wstar":
             proc = WstarProcess(p=int(cell["p"]), n=int(cell["n"]))
             q_field, dist_field = "", f"wstar(p={proc.p})"

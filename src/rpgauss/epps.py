@@ -10,6 +10,7 @@ chi-square with 2N - 2 degrees of freedom under normality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,17 @@ def pseudo_inverse(mat: np.ndarray, tol_rel: float = 1e-12) -> np.ndarray:
     return (eigvecs * inv) @ eigvecs.T
 
 
+def _checked_q(q: float) -> float:
+    """Validate a computed quadratic form: a non-finite value, or one below
+    -1e-12, signals a broken pseudo-inverse and raises; a value within that
+    tolerance below zero is clamped to 0."""
+    if not math.isfinite(q):
+        raise NumericalError("quadratic form is not finite")
+    if q < -1e-12:
+        raise NumericalError(f"quadratic form is negative beyond tolerance: {q}")
+    return max(q, 0.0)
+
+
 def q_form(g_hat: np.ndarray, g_model: np.ndarray, g_plus: np.ndarray) -> float:
     """(g_hat - g_model)^T G+ (g_hat - g_model), clamped to 0 when it dips
     within tolerance below zero; a larger negative value signals a broken
@@ -165,87 +177,104 @@ def q_form(g_hat: np.ndarray, g_model: np.ndarray, g_plus: np.ndarray) -> float:
         raise ValueError("dimension mismatch between vectors and matrix")
     with np.errstate(invalid="ignore", over="ignore"):
         q = float(d @ g_plus @ d)
-    if not math.isfinite(q):
-        raise NumericalError("quadratic form is not finite")
-    if q < -1e-12:
-        raise NumericalError(f"quadratic form is negative beyond tolerance: {q}")
-    return max(q, 0.0)
+    return _checked_q(q)
 
 
 def _nelder_mead(fn, start, offsets, max_iter=_MAX_ITER, rel_spread=_REL_SPREAD):
-    """Downhill-simplex minimization in 2D.
+    """Downhill-simplex minimization of fn(x, y) over (x, y) float tuples.
 
     Stops when every coordinate range of the simplex is below rel_spread
     relative to |best| + initial offset (a scale that never vanishes), or
     after max_iter iterations.
     """
-    start = np.asarray(start, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    pts = [start.copy(),
-           start + np.array([offsets[0], 0.0]),
-           start + np.array([0.0, offsets[1]])]
-    vals = [fn(p) for p in pts]
+    x0, y0 = start
+    ox, oy = offsets
+    pts = [(x0, y0), (x0 + ox, y0), (x0, y0 + oy)]
+    vals = [fn(x, y) for x, y in pts]
+    scale_x, scale_y = abs(ox), abs(oy)
 
     for _ in range(max_iter):
-        order = np.argsort(vals, kind="stable")
+        order = sorted(range(3), key=vals.__getitem__)
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
-        best = pts[0]
-        spread = 0.0
-        for j in range(2):
-            coord = (pts[0][j], pts[1][j], pts[2][j])
-            spread = max(spread, (max(coord) - min(coord)) / (abs(best[j]) + abs(offsets[j])))
+        (bx, by), (px, py), (wx, wy) = pts
+        spread = max((max(bx, px, wx) - min(bx, px, wx)) / (abs(bx) + scale_x),
+                     (max(by, py, wy) - min(by, py, wy)) / (abs(by) + scale_y))
         if spread < rel_spread:
             break
 
-        centroid = (pts[0] + pts[1]) / 2.0
-        reflected = centroid + (centroid - pts[2])
-        f_r = fn(reflected)
+        cx, cy = (bx + px) / 2.0, (by + py) / 2.0
+        rx, ry = cx + (cx - wx), cy + (cy - wy)
+        f_r = fn(rx, ry)
         if vals[0] <= f_r < vals[1]:
-            pts[2], vals[2] = reflected, f_r
+            pts[2], vals[2] = (rx, ry), f_r
         elif f_r < vals[0]:
-            expanded = centroid + 2.0 * (centroid - pts[2])
-            f_e = fn(expanded)
+            ex, ey = cx + 2.0 * (cx - wx), cy + 2.0 * (cy - wy)
+            f_e = fn(ex, ey)
             if f_e < f_r:
-                pts[2], vals[2] = expanded, f_e
+                pts[2], vals[2] = (ex, ey), f_e
             else:
-                pts[2], vals[2] = reflected, f_r
+                pts[2], vals[2] = (rx, ry), f_r
         else:
             if f_r < vals[2]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-                f_c = fn(contracted)
+                kx, ky = cx + 0.5 * (rx - cx), cy + 0.5 * (ry - cy)
+                f_c = fn(kx, ky)
                 if f_c <= f_r:
-                    pts[2], vals[2] = contracted, f_c
+                    pts[2], vals[2] = (kx, ky), f_c
                     continue
             else:
-                contracted = centroid - 0.5 * (centroid - pts[2])
-                f_c = fn(contracted)
+                kx, ky = cx - 0.5 * (cx - wx), cy - 0.5 * (cy - wy)
+                f_c = fn(kx, ky)
                 if f_c < vals[2]:
-                    pts[2], vals[2] = contracted, f_c
+                    pts[2], vals[2] = (kx, ky), f_c
                     continue
             # shrink toward the best vertex
             for i in (1, 2):
-                pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                vals[i] = fn(pts[i])
+                ix, iy = pts[i]
+                pts[i] = (bx + 0.5 * (ix - bx), by + 0.5 * (iy - by))
+                vals[i] = fn(*pts[i])
 
-    i_best = int(np.argmin(vals))
+    i_best = min(range(3), key=vals.__getitem__)
     return pts[i_best], vals[i_best]
 
 
 def _fit_gaussian_cf(g_target, g_plus, lam, mu0, gamma0):
     """Minimize the studentized distance between g_target and the Gaussian CF
-    over (nu, rho), starting at (mu0, gamma0) with one restart."""
+    over (nu, rho), starting at (mu0, gamma0) with one restart.
+
+    The search runs on Python floats: the objective is the quadratic form of
+    q_form with the Gaussian CF of gaussian_cf_vector, written out in scalar
+    arithmetic, because numpy's per-call overhead dominates at this size.
+    """
+    target = np.asarray(g_target, dtype=float)
+    if target.shape != (2 * lam.count,) or np.shape(g_plus) != (target.size, target.size):
+        raise ValueError("dimension mismatch between vectors and matrix")
+    # (lambda_j, lambda_j^2, Re, Im of the target) per frequency; column j of
+    # G+ gives (d @ G+)_j, in the summation order of d @ g_plus @ d
+    terms = [(lv, lv * lv, re_t, im_t) for lv, re_t, im_t
+             in zip(lam.values.tolist(), target[0::2].tolist(), target[1::2].tolist())]
+    columns = np.asarray(g_plus, dtype=float).T.tolist()
+    mu0, gamma0 = float(mu0), float(gamma0)
     sd = math.sqrt(gamma0)
     nu_lo, nu_hi = mu0 - 10.0 * sd, mu0 + 10.0 * sd
     rho_lo, rho_hi = gamma0 / 100.0, 100.0 * gamma0
 
-    def objective(point):
-        nu, rho = float(point[0]), float(point[1])
-        nu_c = min(max(nu, nu_lo), nu_hi)
-        rho_c = min(max(rho, rho_lo), rho_hi)
+    def objective(nu, rho):
+        # the box clamp min(max(v, lo), hi), spelled out for speed
+        nu_c = nu_lo if nu < nu_lo else nu_hi if nu > nu_hi else nu
+        rho_c = rho_lo if rho < rho_lo else rho_hi if rho > rho_hi else rho
         violation = abs(nu - nu_c) + abs(rho - rho_c)
-        val = q_form(g_target, gaussian_cf_vector(nu_c, rho_c, lam), g_plus)
-        val += _PENALTY * violation
+        d = []
+        for lv, lv_sq, re_t, im_t in terms:
+            amp = math.exp(-0.5 * rho_c * lv_sq)
+            d += (re_t - amp * math.cos(nu_c * lv), im_t - amp * math.sin(nu_c * lv))
+        q = 0.0
+        for d_j, column in zip(d, columns):
+            v_j = 0.0
+            for term in map(operator.mul, d, column):
+                v_j += term
+            q += v_j * d_j
+        val = _checked_q(q) + _PENALTY * violation
         if not math.isfinite(val):
             raise NumericalError(f"objective is not finite at ({nu}, {rho})")
         return val
@@ -254,8 +283,8 @@ def _fit_gaussian_cf(g_target, g_plus, lam, mu0, gamma0):
     first, f_first = _nelder_mead(objective, (mu0, gamma0), offsets)
     second, f_second = _nelder_mead(objective, first, offsets)
     point = second if f_second <= f_first else first
-    nu = min(max(float(point[0]), nu_lo), nu_hi)
-    rho = min(max(float(point[1]), rho_lo), rho_hi)
+    nu = min(max(point[0], nu_lo), nu_hi)
+    rho = min(max(point[1], rho_lo), rho_hi)
     return nu, rho, q_form(g_target, gaussian_cf_vector(nu, rho, lam), g_plus)
 
 

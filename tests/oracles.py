@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from rpgauss.exceptions import NumericalError
+
 
 # -- standard normal -----------------------------------------------------------
 
@@ -155,6 +157,115 @@ def spectral_brute(values, lam_values) -> np.ndarray:
         m += 2.0 * w * inner
     m /= 2.0 * math.pi * n
     return (m + m.T) / 2.0
+
+
+# -- Gaussian-CF fit (numpy downhill simplex) -------------------------------------
+
+def _gaussian_cf_numpy(nu, rho, lam_values):
+    amp = np.exp(-0.5 * rho * lam_values**2)
+    out = np.empty(2 * lam_values.size)
+    out[0::2] = amp * np.cos(nu * lam_values)
+    out[1::2] = amp * np.sin(nu * lam_values)
+    return out
+
+
+def _q_form_numpy(g_hat, g_model, g_plus):
+    d = np.asarray(g_hat, dtype=float) - np.asarray(g_model, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        q = float(d @ g_plus @ d)
+    if not math.isfinite(q):
+        raise NumericalError("quadratic form is not finite")
+    if q < -1e-12:
+        raise NumericalError(f"quadratic form is negative beyond tolerance: {q}")
+    return max(q, 0.0)
+
+
+def nelder_mead_numpy(fn, start, offsets, max_iter=500, rel_spread=1e-10):
+    """Downhill simplex in 2D on numpy vertices (the reference search)."""
+    start = np.asarray(start, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    pts = [start.copy(),
+           start + np.array([offsets[0], 0.0]),
+           start + np.array([0.0, offsets[1]])]
+    vals = [fn(p) for p in pts]
+
+    for _ in range(max_iter):
+        order = np.argsort(vals, kind="stable")
+        pts = [pts[i] for i in order]
+        vals = [vals[i] for i in order]
+        best = pts[0]
+        spread = 0.0
+        for j in range(2):
+            coord = (pts[0][j], pts[1][j], pts[2][j])
+            spread = max(spread, (max(coord) - min(coord)) / (abs(best[j]) + abs(offsets[j])))
+        if spread < rel_spread:
+            break
+
+        centroid = (pts[0] + pts[1]) / 2.0
+        reflected = centroid + (centroid - pts[2])
+        f_r = fn(reflected)
+        if vals[0] <= f_r < vals[1]:
+            pts[2], vals[2] = reflected, f_r
+        elif f_r < vals[0]:
+            expanded = centroid + 2.0 * (centroid - pts[2])
+            f_e = fn(expanded)
+            if f_e < f_r:
+                pts[2], vals[2] = expanded, f_e
+            else:
+                pts[2], vals[2] = reflected, f_r
+        else:
+            if f_r < vals[2]:
+                contracted = centroid + 0.5 * (reflected - centroid)
+                f_c = fn(contracted)
+                if f_c <= f_r:
+                    pts[2], vals[2] = contracted, f_c
+                    continue
+            else:
+                contracted = centroid - 0.5 * (centroid - pts[2])
+                f_c = fn(contracted)
+                if f_c < vals[2]:
+                    pts[2], vals[2] = contracted, f_c
+                    continue
+            for i in (1, 2):
+                pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
+                vals[i] = fn(pts[i])
+
+    i_best = int(np.argmin(vals))
+    return pts[i_best], vals[i_best]
+
+
+def reference_fit_gaussian_cf(g_target, g_plus, lam_values, mu0, gamma0, trace=None):
+    """The Gaussian-CF fit with every step on numpy arrays: the same box
+    penalty, simplex and restart as the package's scalar search.
+
+    Returns (nu, rho, q_min). When `trace` is a list, the point (nu, rho) of
+    each objective evaluation is appended to it, in order.
+    """
+    lam_values = np.asarray(lam_values, dtype=float)
+    sd = math.sqrt(gamma0)
+    nu_lo, nu_hi = mu0 - 10.0 * sd, mu0 + 10.0 * sd
+    rho_lo, rho_hi = gamma0 / 100.0, 100.0 * gamma0
+
+    def objective(point):
+        nu, rho = float(point[0]), float(point[1])
+        if trace is not None:
+            trace.append((nu, rho))
+        nu_c = min(max(nu, nu_lo), nu_hi)
+        rho_c = min(max(rho, rho_lo), rho_hi)
+        violation = abs(nu - nu_c) + abs(rho - rho_c)
+        val = _q_form_numpy(g_target, _gaussian_cf_numpy(nu_c, rho_c, lam_values), g_plus)
+        val += 1e6 * violation
+        if not math.isfinite(val):
+            raise NumericalError(f"objective is not finite at ({nu}, {rho})")
+        return val
+
+    offsets = (0.1 * sd, 0.1 * gamma0)
+    first, f_first = nelder_mead_numpy(objective, (mu0, gamma0), offsets)
+    second, f_second = nelder_mead_numpy(objective, first, offsets)
+    point = second if f_second <= f_first else first
+    nu = min(max(float(point[0]), nu_lo), nu_hi)
+    rho = min(max(float(point[1]), rho_lo), rho_hi)
+    return nu, rho, _q_form_numpy(g_target, _gaussian_cf_numpy(nu, rho, lam_values), g_plus)
 
 
 # -- long-run variance estimators ------------------------------------------------

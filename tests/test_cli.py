@@ -30,10 +30,27 @@ def test_read_skips_header(tmp_path):
     assert read_values(str(p)).tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
-def test_read_comma_separated(tmp_path):
+def test_read_rejects_multi_column(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("1, 2, 3, 4\n5, 6, 7, 8\n")
-    assert read_values(str(p)).size == 8
+    with pytest.raises(ValueError, match="line 1"):
+        read_values(str(p))
+
+
+def test_read_single_column_csv(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("value,\n" + "".join(f"{v}.5,\n" for v in range(8)))
+    assert read_values(str(p)).tolist() == [v + 0.5 for v in range(8)]
+
+
+def test_read_errors_name_the_file_line(tmp_path):
+    p = tmp_path / "x.txt"
+    p.write_text("value\n1\n\n2\n3\n4,5\n6\n7\n8\n9\n")
+    with pytest.raises(ValueError, match="line 6"):
+        read_values(str(p))
+    p.write_text("1\n\n2\nhello\n4\n5\n6\n7\n8\n")
+    with pytest.raises(ValueError, match="line 4"):
+        read_values(str(p))
 
 
 def test_read_rejects_short_input(tmp_path):
@@ -64,6 +81,13 @@ def test_cmd_test_short_file_exits_2(tmp_path, capsys):
     p.write_text("1\n2\n3\n4\n5\n")
     assert main(["test", "--input", str(p)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cmd_test_multi_column_file_exits_2(tmp_path, capsys):
+    p = tmp_path / "pairs.csv"
+    p.write_text("1,2\n3,4\n5,6\n7,8\n")
+    assert main(["test", "--input", str(p), "--test", "G"]) == 2
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_cmd_test_constant_file_exits_2(tmp_path, capsys):
@@ -209,3 +233,30 @@ def test_cmd_simulate_malformed_experiment(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text("[1, 2, 3]")
     assert main(["simulate", "--experiment", str(path)]) == 2
+
+
+def _simulated_row(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out.strip().splitlines()[1].split(",")
+
+
+def test_cmd_simulate_projections_sets_rp_size(capsys):
+    base = ["simulate", "--n", "64", "--q", "0.5", "--dist", "chisq10",
+            "--reps", "40", "--past", "50", "--seed", "23"]
+    wide = _simulated_row(base + ["--test", "RP", "--projections", "8"], capsys)
+    multi = _simulated_row(base + ["--test", "RPmulti:4"], capsys)
+    assert wide == multi
+    assert wide[2] == "RPmulti:4"
+    default = _simulated_row(base + ["--test", "RP"], capsys)
+    assert default[2] == "RP"
+    assert default[5] != wide[5]   # the cell is large enough to tell 4 from 8 projections
+
+
+def test_cmd_simulate_bad_projection_count(capsys):
+    for count in ("5", "0"):
+        argv = ["simulate", "--test", "G,RP", "--n", "64", "--reps", "2", "--past", "50",
+                "--projections", count]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--projections" in captured.err
+        assert captured.out == ""

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from rpgauss import (DegenerateSeriesError, Lambda, NumericalError, RngStream,
-                     Series, draw_lambda, empirical_cf_vector, epps_test,
-                     gaussian_cf_vector, minimize_q, pseudo_inverse, q_form,
-                     spectral_density_at_zero)
+from rpgauss import (Ar1Process, DegenerateSeriesError, InnovationFamily, Lambda,
+                     NumericalError, RngStream, Series, chi_square_sf, draw_lambda,
+                     empirical_cf_vector, epps_test, gaussian_cf_vector, minimize_q,
+                     pseudo_inverse, q_form, simulate_ar1, spectral_density_at_zero)
+from rpgauss import epps
 from rpgauss.epps import _fit_gaussian_cf, _lag_window
+from rpgauss.projection import StickBreakingParams, draw_projection_vector, project_series
 
-from oracles import ks_distance, spectral_brute
+from oracles import ks_distance, reference_fit_gaussian_cf, spectral_brute
 
 
 def _lam(values, mode="fixed"):
@@ -245,6 +247,72 @@ def test_fit_raises_on_non_finite_objective():
     bad = np.full((4, 4), np.inf)
     with pytest.raises(NumericalError):
         _fit_gaussian_cf(np.zeros(4), bad, lam, 0.0, 1.0)
+
+
+def test_fit_raises_on_negative_definite_g_plus():
+    lam = _lam([1.0, 2.0])
+    with pytest.raises(NumericalError):
+        _fit_gaussian_cf(np.zeros(4), -np.eye(4), lam, 0.0, 1.0)
+
+
+def test_fit_rejects_dimension_mismatch():
+    lam = _lam([1.0, 2.0])
+    with pytest.raises(ValueError):
+        _fit_gaussian_cf(np.zeros(6), np.eye(6), lam, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        _fit_gaussian_cf(np.zeros(4), np.eye(3), lam, 0.0, 1.0)
+
+
+def _projected_fit_cases():
+    # AR(1) q=0.5 paths projected on both Beta plans, random frequencies
+    rng = RngStream(74)
+    stream_id = 0
+    for family in (InnovationFamily.STD_NORMAL, InnovationFamily.STD_LOGNORMAL,
+                   InnovationFamily.CHI_SQ_1):
+        for n in (100, 1000):
+            proc = Ar1Process(q=0.5, innovation=family, n=n, past=1000)
+            for alpha1, alpha2 in ((100.0, 1.0), (2.0, 7.0)):
+                params = StickBreakingParams(alpha1, alpha2, n_cap=n)
+                for _ in range(20):
+                    stream = rng.for_replication(stream_id)
+                    stream_id += 1
+                    x = simulate_ar1(proc, stream)
+                    y = project_series(x, draw_projection_vector(params, stream))
+                    gamma0 = y.autocovariance(0)
+                    lam = draw_lambda(gamma0, "random", stream)
+                    g_target = empirical_cf_vector(y, lam)
+                    g_plus = pseudo_inverse(2.0 * math.pi * spectral_density_at_zero(y, lam))
+                    yield n, (g_target, g_plus, lam, y.mean(), gamma0)
+
+
+def test_fit_matches_numpy_reference(monkeypatch):
+    # same simplex on floats instead of numpy arrays: only rounding differs
+    search = epps._nelder_mead
+    points = []
+
+    def traced_search(fn, start, offsets):
+        def traced_fn(nu, rho):
+            points.append((nu, rho))
+            return fn(nu, rho)
+        return search(traced_fn, start, offsets)
+
+    monkeypatch.setattr(epps, "_nelder_mead", traced_search)
+    mine_evals, ref_evals = [], []
+    for n, (g_target, g_plus, lam, mu0, gamma0) in _projected_fit_cases():
+        points.clear()
+        _, _, q_mine = _fit_gaussian_cf(g_target, g_plus, lam, mu0, gamma0)
+        ref_points = []
+        _, _, q_ref = reference_fit_gaussian_cf(g_target, g_plus, lam.values, mu0, gamma0,
+                                                trace=ref_points)
+        assert abs(n * q_mine - n * q_ref) <= 1e-6
+        assert abs(chi_square_sf(n * q_mine, 2) - chi_square_sf(n * q_ref, 2)) <= 1e-8
+        # the same steps in the same order, until rounding noise near the
+        # minimum decides the comparisons
+        assert np.allclose(points[:40], ref_points[:40], rtol=1e-9, atol=1e-12)
+        mine_evals.append(len(points))
+        ref_evals.append(len(ref_points))
+    assert len(mine_evals) >= 200
+    assert abs(float(np.median(mine_evals)) - float(np.median(ref_evals))) <= 5
 
 
 # -- full test -------------------------------------------------------------------------
