@@ -6,41 +6,23 @@ and skewness-kurtosis) run on the projected series, and their p-values are
 combined by a dependence-robust FDR rule. A simulation harness estimates
 rejection rates for AR(1) processes and for a pairwise-independent process
 with exactly Gaussian marginal.
+
+The names below are the user API; the kernels behind them are importable
+from their modules (rpgauss.epps, rpgauss.projection, rpgauss.special, ...).
 """
 
-from .epps import (EppsResult, Lambda, draw_lambda, empirical_cf_vector,
-                   epps_test, gaussian_cf_vector, minimize_q, pseudo_inverse,
-                   q_form, spectral_density_at_zero)
+from .epps import epps_test
 from .exceptions import DegenerateSeriesError, NumericalError
-from .fdr import by_reject, combined_p
-from .lobato_velasco import LvConfig, LvResult, f_hat_k, lv_statistic, lv_test
-from .projection import (ProjectionVector, StickBreakingParams,
-                         build_projection_vector, draw_projection_vector,
-                         project_series, stick_breaking)
-from .rng import (InnovationFamily, RngStream, sample_abs_normal, sample_beta,
-                  sample_innovation, sample_innovations)
-from .rp import (ProjectionPlan, RpConfig, RpReport, multi_projection_plans,
-                 rp_test, rp_test_multi)
+from .lobato_velasco import LvConfig, lv_test
+from .rng import InnovationFamily, RngStream
+from .rp import rp_test
 from .series import Series
-from .simulation import (Ar1Process, RateResult, WstarProcess, compute_p_value,
-                       parse_test_kind, rejection_rate, simulate, simulate_ar1,
-                       simulate_wstar, simulate_wstar_path)
-from .special import chi_square_sf, normal_quantile
+from .simulation import Ar1Process, rejection_rate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ar1Process", "DegenerateSeriesError", "EppsResult", "InnovationFamily",
-    "Lambda", "LvConfig", "LvResult", "NumericalError", "ProjectionPlan",
-    "ProjectionVector", "RateResult", "RngStream", "RpConfig", "RpReport",
-    "Series", "StickBreakingParams", "WstarProcess", "build_projection_vector",
-    "by_reject", "chi_square_sf", "combined_p", "compute_p_value",
-    "draw_lambda", "draw_projection_vector", "empirical_cf_vector",
-    "epps_test", "f_hat_k", "gaussian_cf_vector", "lv_statistic", "lv_test",
-    "minimize_q", "multi_projection_plans", "normal_quantile",
-    "parse_test_kind", "project_series", "pseudo_inverse", "q_form",
-    "rejection_rate", "rp_test", "rp_test_multi", "sample_abs_normal",
-    "sample_beta", "sample_innovation", "sample_innovations", "simulate",
-    "simulate_ar1", "simulate_wstar", "simulate_wstar_path",
-    "spectral_density_at_zero", "stick_breaking",
+    "Ar1Process", "DegenerateSeriesError", "InnovationFamily", "LvConfig",
+    "NumericalError", "RngStream", "Series", "epps_test", "lv_test",
+    "rejection_rate", "rp_test",
 ]

@@ -15,14 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .epps import FIXED, RANDOM, epps_test
-from .exceptions import DegenerateSeriesError, NumericalError
-from .fdr import combined_p
-from .lobato_velasco import LvConfig, lv_test
+from .epps import FIXED, RANDOM
+from .exceptions import NumericalError
+from .lobato_velasco import LvConfig
 from .rng import InnovationFamily, RngStream
-from .rp import rp_test_multi
 from .series import Series
-from .simulation import (Ar1Process, WstarProcess, parse_test_kind, rejection_rate)
+from .simulation import Ar1Process, WstarProcess, check_cell, rejection_rate, resolve_test, run_test
+
+# Not called here: perfbench/spans.py patches these names in this module as well.
+from .epps import epps_test  # noqa: F401
+from .fdr import combined_p  # noqa: F401
+from .lobato_velasco import lv_test  # noqa: F401
+from .rp import rp_test_multi  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -74,56 +78,20 @@ def _lv_config(args) -> LvConfig:
     return LvConfig(c=args.c, beta0=args.beta0, variant=args.lv_variant)
 
 
-def _k_pairs_for(kind: str, k_pairs: int | None, projections: int) -> int:
-    if kind == "RPmulti":
-        return k_pairs
-    if projections % 2 != 0 or projections < 2:
-        raise ValueError("--projections must be an even number >= 2")
-    return projections // 2
-
-
-def _rp_label(pairs: int) -> str:
-    return "RP" if pairs == 2 else f"RPmulti:{pairs}"
-
-
 def run_test_command(args) -> dict:
-    values = read_values(args.input)
-    series = Series(values)
-    rng = RngStream(args.seed)
-    kind, k_pairs = parse_test_kind(args.test)
-    lv_cfg = _lv_config(args)
-    alpha = args.alpha
-
-    if kind == "E":
-        res = epps_test(series, args.epps_lambda or FIXED, rng)
-        result = {"kind": "E", "epps": res.as_dict(), "p_value": res.p_value,
-                  "reject": res.p_value <= alpha}
-    elif kind == "G":
-        res = lv_test(series, lv_cfg)
-        result = {"kind": "G", "lv": res.as_dict(), "p_value": res.p_value,
-                  "reject": res.p_value <= alpha}
-    elif kind == "GE":
-        res_e = epps_test(series, args.epps_lambda or RANDOM, rng)
-        res_g = lv_test(series, lv_cfg)
-        p = combined_p([res_e.p_value, res_g.p_value])
-        result = {"kind": "GE", "epps": res_e.as_dict(), "lv": res_g.as_dict(),
-                  "p_value": p, "reject": p <= alpha}
-    else:
-        pairs = _k_pairs_for(kind, k_pairs, args.projections)
-        report = rp_test_multi(series, pairs, rng, alpha=alpha,
-                               epps_mode=args.epps_lambda or RANDOM, lv=lv_cfg)
-        result = {"kind": _rp_label(pairs), "p_value": report.combined_p,
-                  "reject": report.reject, **report.as_dict()}
-
+    _, kind, k_pairs = resolve_test(args.test, args.projections)
+    series = Series(read_values(args.input))
+    result = run_test(series, kind, RngStream(args.seed), k_pairs, args.epps_lambda,
+                      _lv_config(args), alpha=args.alpha)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "test",
         "input": args.input,
         "n": series.n,
         "test": args.test,
-        "alpha": alpha,
+        "alpha": args.alpha,
         "seed": args.seed,
-        "result": result,
+        "result": result.as_dict(),
     }
 
 
@@ -161,30 +129,37 @@ def _cells_from_args(args) -> list[dict]:
 
 def _cells_from_file(path: str, args) -> list[dict]:
     experiment = json.loads(Path(path).read_text())
-    if not isinstance(experiment, dict) or "cells" not in experiment:
+    if not isinstance(experiment, dict) or not isinstance(experiment.get("cells"), list):
         raise ValueError("experiment file must be a JSON object with a 'cells' list")
     if "seed" in experiment:
         args.seed = int(experiment["seed"])
     if "alpha" in experiment:
         args.alpha = float(experiment["alpha"])
     cells = []
-    for cell in experiment["cells"]:
-        cell = dict(cell)
-        cell.setdefault("reps", args.reps)
-        cell.setdefault("past", args.past)
-        cells.append(cell)
+    for i, cell in enumerate(experiment["cells"], start=1):
+        if not isinstance(cell, dict):
+            raise ValueError(f"cell {i} of the experiment file is not a JSON object")
+        cells.append({"reps": args.reps, "past": args.past, **cell})
     return cells
 
 
-def _cell_test_token(test: str, projections: int) -> str:
-    """The test kind a cell runs: RP takes its size from --projections, and
-    RPmulti:k keeps its own pair count."""
-    kind, k_pairs = parse_test_kind(test)
-    if kind == "RPmulti":
-        return test
-    if kind == "RP":
-        return _rp_label(_k_pairs_for(kind, k_pairs, projections))
-    return kind
+def _prepare_cell(cell: dict, args) -> tuple:
+    """(process, test label, q field, dist field, reps) of a validated cell."""
+    label, _, _ = resolve_test(cell["test"], args.projections)
+    process = cell.get("process", "ar1")
+    if process == "wstar":
+        proc = WstarProcess(p=int(cell["p"]), n=int(cell["n"]))
+        q_field, dist_field = "", f"wstar(p={proc.p})"
+    elif process == "ar1":
+        family = _parse_dist(cell["dist"])
+        proc = Ar1Process(q=float(cell["q"]), innovation=family,
+                          n=int(cell["n"]), past=int(cell["past"]))
+        q_field, dist_field = repr(proc.q), family.value
+    else:
+        raise ValueError(f"unknown process {process!r} (choose ar1 or wstar)")
+    reps = int(cell["reps"])
+    check_cell(proc, label, reps, args.alpha, args.workers)
+    return proc, label, q_field, dist_field, reps
 
 
 def run_simulate_command(args, out) -> None:
@@ -196,28 +171,25 @@ def run_simulate_command(args, out) -> None:
         raise ValueError("no simulation cells requested")
     lv_cfg = _lv_config(args)
     rng = RngStream(args.seed)
-    # resolve every test token first, so a bad --projections fails before any output
-    tokens = [_cell_test_token(cell["test"], args.projections) for cell in cells]
+    # validate every cell first, so that bad input fails before any output
+    prepared = []
+    for i, cell in enumerate(cells, start=1):
+        try:
+            prepared.append(_prepare_cell(cell, args))
+        except KeyError as exc:
+            raise ValueError(f"cell {i} {json.dumps(cell)}: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:  # e.g. a number where text belongs
+            raise ValueError(f"cell {i} {json.dumps(cell)}: {exc}") from None
 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["q", "dist", "test", "n", "reps", "rate", "se"])
-    for cell, test_token in zip(cells, tokens):
-        if cell.get("process", "ar1") == "wstar":
-            proc = WstarProcess(p=int(cell["p"]), n=int(cell["n"]))
-            q_field, dist_field = "", f"wstar(p={proc.p})"
-        else:
-            family = _parse_dist(cell["dist"])
-            proc = Ar1Process(q=float(cell["q"]), innovation=family,
-                              n=int(cell["n"]), past=int(cell.get("past", args.past)))
-            q_field, dist_field = repr(proc.q), family.value
-        res = rejection_rate(proc, test_token, reps=int(cell["reps"]),
-                             alpha=args.alpha, rng=rng,
-                             epps_mode=args.epps_lambda, lv=lv_cfg,
-                             workers=args.workers)
+    for proc, label, q_field, dist_field, reps in prepared:
+        res = rejection_rate(proc, label, reps=reps, alpha=args.alpha, rng=rng,
+                             epps_mode=args.epps_lambda, lv=lv_cfg, workers=args.workers)
         if res.errors:
             print(f"note: {res.errors} failed replications excluded "
-                  f"({dist_field}, {test_token}, n={proc.n})", file=sys.stderr)
-        writer.writerow([q_field, dist_field, test_token, proc.n, res.reps,
+                  f"({dist_field}, {label}, n={proc.n})", file=sys.stderr)
+        writer.writerow([q_field, dist_field, label, proc.n, res.reps,
                          f"{res.rate:.6f}", f"{res.se:.6f}"])
 
 

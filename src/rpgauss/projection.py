@@ -16,12 +16,8 @@ from .rng import RngStream, sample_beta
 from .series import Series
 
 
-def sequence_weight(i: int) -> float:
-    """Weight a_i of the sequence space: a_0 = 1, a_i = i^-2 for i >= 1."""
-    return 1.0 if i == 0 else 1.0 / (i * i)
-
-
 def _weights(count: int) -> np.ndarray:
+    """Weights a_0..a_{count-1} of the sequence space: a_0 = 1, a_i = i^-2."""
     idx = np.arange(count, dtype=float)
     idx[0] = 1.0
     return 1.0 / (idx * idx)
@@ -70,28 +66,16 @@ def stick_breaking(params: StickBreakingParams, rng: RngStream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectionVector:
-    """Truncated direction h_0..h_m with weighted unit norm.
-
-    `sticks` are the source stick lengths; `alpha1`/`alpha2` record the beta
-    parameters when the vector was drawn (None when built from raw sticks).
-    """
+    """Truncated direction h_0..h_m with weighted unit norm; `sticks` are
+    the source stick lengths."""
 
     h: np.ndarray
     m: int
     sticks: np.ndarray
-    alpha1: float | None = None
-    alpha2: float | None = None
 
     def weighted_norm_sq(self) -> float:
         """sum_i h_i^2 a_i; equals 1 up to rounding by construction."""
         return float(np.sum(self.h**2 * _weights(self.h.size)))
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "h": [float(v) for v in self.h],
-        }
 
 
 def build_projection_vector(sticks, n_cap: int) -> ProjectionVector:
@@ -112,21 +96,14 @@ def build_projection_vector(sticks, n_cap: int) -> ProjectionVector:
     if total > 1.0 + 1e-12:
         raise ValueError("stick lengths must sum to at most 1")
     remaining = 1.0 - total
-    if remaining <= 0.0:
-        h = np.sqrt(sticks / _weights(sticks.size))
-        return ProjectionVector(h=h, m=sticks.size - 1, sticks=sticks)
-    h = np.empty(sticks.size + 1)
-    h[:-1] = np.sqrt(sticks / _weights(sticks.size))
-    h[-1] = np.sqrt(remaining / sequence_weight(sticks.size))
-    return ProjectionVector(h=h, m=sticks.size, sticks=sticks)
+    lengths = np.append(sticks, remaining) if remaining > 0.0 else sticks
+    h = np.sqrt(lengths / _weights(lengths.size))
+    return ProjectionVector(h=h, m=lengths.size - 1, sticks=sticks)
 
 
 def draw_projection_vector(params: StickBreakingParams, rng: RngStream) -> ProjectionVector:
     """Draw sticks and assemble the unit-norm direction in one step."""
-    sticks = stick_breaking(params, rng)
-    pv = build_projection_vector(sticks, params.n_cap)
-    return ProjectionVector(h=pv.h, m=pv.m, sticks=pv.sticks,
-                            alpha1=params.alpha1, alpha2=params.alpha2)
+    return build_projection_vector(stick_breaking(params, rng), params.n_cap)
 
 
 def project_series(x: Series, pv: ProjectionVector) -> Series:

@@ -139,11 +139,6 @@ def sample_innovations(family: InnovationFamily, size: int, rng: RngStream) -> n
     raise ValueError(f"unknown innovation family: {family!r}")
 
 
-def sample_innovation(family: InnovationFamily, rng: RngStream) -> float:
-    """One draw from the named innovation family."""
-    return float(sample_innovations(family, 1, rng)[0])
-
-
 def sample_abs_normal(sd: float, rng: RngStream) -> float:
     """|Z| with Z ~ N(0, sd^2)."""
     if sd <= 0.0:

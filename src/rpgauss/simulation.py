@@ -13,16 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epps import FIXED, RANDOM, epps_test
+from .epps import FIXED, RANDOM, EppsResult, epps_test
 from .exceptions import DegenerateSeriesError, NumericalError
 from .fdr import combined_p
-from .lobato_velasco import LvConfig, lv_test
+from .lobato_velasco import LvConfig, LvResult, lv_test
 from .rng import InnovationFamily, RngStream, sample_innovations
-from .rp import rp_test_multi
+from .rp import RpReport, rp_test_multi
 from .series import Series
 from .special import normal_quantile
 
 DEFAULT_PAST = 1000
+MIN_N = 8  # the shortest series every test accepts
 
 
 @dataclass(frozen=True)
@@ -146,32 +147,103 @@ def parse_test_kind(text: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown test kind {text!r}")
 
 
-def compute_p_value(series: Series, kind: str, rng: RngStream,
-                    k_pairs: int | None = None, epps_mode: str | None = None,
-                    lv: LvConfig = LvConfig()) -> float:
-    """p-value of one test on one series.
+def _label(kind: str, k_pairs: int | None) -> str:
+    return f"RPmulti:{k_pairs}" if kind == "RPmulti" else kind
+
+
+def resolve_test(token: str, projections: int = 4) -> tuple[str, str, int | None]:
+    """(label, kind, k_pairs) of a test token. RP runs `projections` (even,
+    >= 2) projections, as RPmulti:projections/2 when that is not 4; the label
+    is the canonical token of what runs."""
+    kind, k_pairs = parse_test_kind(token)
+    if kind == "RP":
+        if projections % 2 != 0 or projections < 2:
+            raise ValueError(f"--projections must be an even number >= 2, got {projections}")
+        if projections != 4:
+            kind, k_pairs = "RPmulti", projections // 2
+    return _label(kind, k_pairs), kind, k_pairs
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha <= 1.0:  # also false for NaN
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
+
+
+@dataclass(frozen=True)
+class KindResult:
+    """One test kind run on one series: its p-value, the decision at alpha
+    (None without alpha) and the results behind them, which only as_dict
+    turns into JSON."""
+
+    kind: str
+    p_value: float
+    reject: bool | None
+    epps: EppsResult | None = None
+    lv: LvResult | None = None
+    rp: RpReport | None = None
+
+    def as_dict(self) -> dict:
+        out = {"kind": self.kind, "p_value": self.p_value, "reject": self.reject}
+        if self.rp is not None:
+            out.update(self.rp.as_dict())
+        if self.epps is not None:
+            out["epps"] = self.epps.as_dict()
+        if self.lv is not None:
+            out["lv"] = self.lv.as_dict()
+        return out
+
+
+def run_test(series: Series, kind: str, rng: RngStream, k_pairs: int | None = None,
+             epps_mode: str | None = None, lv: LvConfig = LvConfig(),
+             alpha: float | None = None) -> KindResult:
+    """Run one test kind on one series; the only place that switches on kind.
 
     E runs the characteristic-function test (fixed frequencies unless
     overridden); G the skewness-kurtosis test; GE combines one random-frequency
     CF test with one skewness-kurtosis test by the FDR rule; RP / RPmulti run
     the projection test with 4 / 2*k_pairs projections.
     """
-    if kind == "E":
-        return epps_test(series, epps_mode or FIXED, rng).p_value
-    if kind == "G":
-        return lv_test(series, lv).p_value
-    if kind == "GE":
-        p_e = epps_test(series, epps_mode or RANDOM, rng).p_value
-        p_g = lv_test(series, lv).p_value
-        return combined_p([p_e, p_g])
-    if kind == "RP":
-        return rp_test_multi(series, 2, rng, epps_mode=epps_mode or RANDOM, lv=lv).combined_p
-    if kind == "RPmulti":
-        if k_pairs is None:
+    if alpha is not None:
+        _check_alpha(alpha)
+    if kind in ("RP", "RPmulti"):
+        if kind == "RPmulti" and k_pairs is None:
             raise ValueError("RPmulti needs k_pairs")
-        return rp_test_multi(series, k_pairs, rng, epps_mode=epps_mode or RANDOM,
-                             lv=lv).combined_p
-    raise ValueError(f"unknown test kind {kind!r}")
+        report = rp_test_multi(series, 2 if kind == "RP" else k_pairs, rng, alpha=alpha,
+                               epps_mode=epps_mode or RANDOM, lv=lv)
+        return KindResult(_label(kind, k_pairs), report.combined_p, report.reject, rp=report)
+    if kind not in ("E", "G", "GE"):
+        raise ValueError(f"unknown test kind {kind!r}")
+    epps = lv_res = None
+    if kind != "G":
+        epps = epps_test(series, epps_mode or (FIXED if kind == "E" else RANDOM), rng)
+    if kind != "E":
+        lv_res = lv_test(series, lv)
+    p = combined_p([epps.p_value, lv_res.p_value]) if kind == "GE" else (epps or lv_res).p_value
+    return KindResult(kind, p, None if alpha is None else p <= alpha, epps=epps, lv=lv_res)
+
+
+def compute_p_value(series: Series, kind: str, rng: RngStream,
+                    k_pairs: int | None = None, epps_mode: str | None = None,
+                    lv: LvConfig = LvConfig()) -> float:
+    """p-value of one test kind on one series (see run_test)."""
+    return run_test(series, kind, rng, k_pairs, epps_mode, lv).p_value
+
+
+def check_cell(process: Process, test: str, reps: int, alpha: float,
+               workers: int = 1) -> tuple[str, int | None]:
+    """Validate a rejection-rate cell before it runs; returns the parsed kind.
+
+    The series must have at least MIN_N values, the shortest every test
+    accepts; reps and workers must be positive.
+    """
+    if process.n < MIN_N:
+        raise ValueError(f"n must be at least {MIN_N}, got {process.n}")
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    _check_alpha(alpha)
+    return parse_test_kind(test)
 
 
 @dataclass(frozen=True)
@@ -194,11 +266,7 @@ def rejection_rate(process: Process, test: str, reps: int, alpha: float,
     breakdown) are dropped from the denominator when they stay within 1% of
     reps; beyond that the run aborts.
     """
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    kind, k_pairs = parse_test_kind(test)
+    kind, k_pairs = check_cell(process, test, reps, alpha, workers)
 
     def one(i: int) -> tuple[bool, bool]:
         stream = rng.for_replication(i)

@@ -60,62 +60,24 @@ def normal_quantile(u: float) -> float:
     return x - (_norm_cdf(x) - u) / _norm_pdf(x)
 
 
-_ITMAX = 400
-_EPS = 1e-16
-_TINY = 1e-300
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by series, for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NumericalError(f"incomplete-gamma series failed to converge (a={a}, x={x})")
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction (Lentz)."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b if b != 0.0 else 1.0 / _TINY
-    h = d
-    for i in range(1, _ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NumericalError(f"incomplete-gamma continued fraction failed (a={a}, x={x})")
-
-
 def chi_square_sf(x: float, df: int) -> float:
-    """Upper-tail probability of the chi-square distribution with `df` degrees
-    of freedom: series expansion for small x, continued fraction for large x.
+    """Upper-tail probability of the chi-square distribution with an even
+    number `df` of degrees of freedom, by the finite sum
 
-    Raises ValueError for x < 0 or df < 1.
+        exp(-x/2) * sum_{k < df/2} (x/2)^k / k!
+
+    Raises ValueError for x < 0 or a df that is not an even integer >= 2, and
+    NumericalError if the sum overflows (x and df both far beyond any test).
     """
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"chi_square_sf requires x >= 0, got {x!r}")
-    if int(df) != df or df < 1:
-        raise ValueError(f"chi_square_sf requires an integer df >= 1, got {df!r}")
-    a = 0.5 * df
+    if int(df) != df or df < 2 or df % 2 != 0:
+        raise ValueError(f"chi_square_sf requires an even integer df >= 2, got {df!r}")
     half_x = 0.5 * x
-    if half_x == 0.0:
-        return 1.0
-    if half_x < a + 1.0:
-        return min(1.0, max(0.0, 1.0 - _gamma_p_series(a, half_x)))
-    return min(1.0, max(0.0, _gamma_q_contfrac(a, half_x)))
+    term = total = 1.0
+    for k in range(1, int(df) // 2):
+        term *= half_x / k
+        total += term
+    if not math.isfinite(total):
+        raise NumericalError(f"chi-square survival sum overflows (x={x}, df={df})")
+    return min(1.0, math.exp(-half_x) * total)

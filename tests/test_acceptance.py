@@ -13,13 +13,13 @@ import sys
 import numpy as np
 import pytest
 
-import rpgauss as rg
-from rpgauss import (Ar1Process, InnovationFamily, RngStream, Series,
-                     StickBreakingParams, WstarProcess, combined_p,
-                     draw_lambda, draw_projection_vector, empirical_cf_vector,
-                     f_hat_k, minimize_q, pseudo_inverse, rejection_rate,
-                     simulate_wstar_path, spectral_density_at_zero,
-                     stick_breaking)
+from rpgauss import Ar1Process, InnovationFamily, RngStream, Series, rejection_rate
+from rpgauss.epps import (draw_lambda, empirical_cf_vector, minimize_q, pseudo_inverse,
+                          spectral_density_at_zero)
+from rpgauss.fdr import by_reject, combined_p
+from rpgauss.lobato_velasco import f_hat_k
+from rpgauss.projection import StickBreakingParams, draw_projection_vector, stick_breaking
+from rpgauss.simulation import WstarProcess, simulate_wstar, simulate_wstar_path
 
 from oracles import (erf_norm_cdf, f_hat_brute, fdr_p0, fdr_reject,
                      ks_critical, ks_distance, spectral_brute)
@@ -102,7 +102,7 @@ def test_criterion_08_fdr_exactness():
         mine = combined_p(ps)
         worst = max(worst, abs(mine - fdr_p0(ps)))
         for alpha in alphas:
-            if rg.by_reject(ps, float(alpha))[0] != (mine <= alpha):
+            if by_reject(ps, float(alpha))[0] != (mine <= alpha):
                 consistent = False
         if fdr_reject(ps, 0.05) != (mine <= 0.05):
             consistent = False
@@ -242,7 +242,7 @@ def test_criterion_11_wstar_structure():
             blocks_checked += 1
             sums_ok &= int(path.levels[lo:lo + p].sum()) == p * (p - 1) // 2
 
-    sample = rg.simulate_wstar(WstarProcess(p=p, n=10_000), RngStream(111)).values
+    sample = simulate_wstar(WstarProcess(p=p, n=10_000), RngStream(111)).values
     ks = ks_distance(sample, erf_norm_cdf)
     crit = ks_critical(0.01, 10_000)
     _emit(11, sums_ok and blocks_checked > 10_000 and ks < crit,

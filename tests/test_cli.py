@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rpgauss import RngStream, sample_innovations, InnovationFamily
+from rpgauss import InnovationFamily, RngStream
+from rpgauss.rng import sample_innovations
 from rpgauss.cli import main, read_values
 
 
@@ -128,6 +129,16 @@ def test_cmd_test_epps_lambda_override(tmp_path, capsys):
 def test_cmd_test_bad_projection_count(tmp_path, capsys):
     path = _normal_file(tmp_path, n=200)
     assert main(["test", "--input", path, "--test", "RP", "--projections", "5"]) == 2
+
+
+def test_cmd_test_bad_alpha_exits_2(tmp_path, capsys):
+    path = _normal_file(tmp_path, n=200)
+    for alpha in ("7", "nan", "inf", "0", "-0.1"):
+        for kind in ("G", "RP"):
+            assert main(["test", "--input", path, "--test", kind, "--alpha", alpha]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "alpha" in captured.err
 
 
 def test_cmd_test_deterministic_output(tmp_path, capsys):
@@ -260,3 +271,39 @@ def test_cmd_simulate_bad_projection_count(capsys):
         captured = capsys.readouterr()
         assert "--projections" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags, cell", [
+    (["--q", "0,1.0"], "cell 2"),
+    (["--n", "100,5"], "cell 2"),
+    (["--alpha", "1.5"], "cell 1"),
+    (["--alpha", "nan"], "cell 1"),
+    (["--reps", "0"], "cell 1"),
+    (["--workers", "0"], "cell 1"),
+    (["--workers", "-5"], "cell 1"),
+    (["--process", "wstar", "--p", "9"], "cell 1"),
+])
+def test_cmd_simulate_bad_cell_fails_before_output(flags, cell, capsys):
+    argv = ["simulate", "--test", "G", "--n", "64", "--reps", "2", "--past", "50", *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cell} ")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"process": "ar1", "q": 0.0, "dist": "normal", "test": "G"}, "missing key 'n'"),
+    ({"process": "wstar", "n": 64, "test": "G"}, "missing key 'p'"),
+    ({"process": "arma", "q": 0.0, "dist": "normal", "n": 64, "test": "G"}, "unknown process"),
+    ({"process": "ar1", "q": None, "dist": "normal", "n": 64, "test": "G"}, "cell 2"),
+    ({"process": "ar1", "q": 0.0, "dist": 5, "n": 64, "test": "G"}, "cell 2"),
+    ("G", "cell 2 of the experiment file is not a JSON object"),
+])
+def test_cmd_simulate_bad_experiment_cell(tmp_path, capsys, bad, message):
+    good = {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 2}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"seed": 1, "cells": [good, bad]}))
+    assert main(["simulate", "--experiment", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cell 2" in captured.err and message in captured.err

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rpgauss import (Ar1Process, DegenerateSeriesError, InnovationFamily, Lambda,
-                     NumericalError, RngStream, Series, chi_square_sf, draw_lambda,
-                     empirical_cf_vector, epps_test, gaussian_cf_vector, minimize_q,
-                     pseudo_inverse, q_form, simulate_ar1, spectral_density_at_zero)
+from rpgauss import (Ar1Process, DegenerateSeriesError, InnovationFamily, NumericalError,
+                     RngStream, Series, epps_test)
+from rpgauss.epps import (Lambda, _fit_gaussian_cf, _lag_window, draw_lambda,
+                          empirical_cf_vector, gaussian_cf_vector, minimize_q, pseudo_inverse,
+                          q_form, spectral_density_at_zero)
+from rpgauss.simulation import simulate_ar1
+from rpgauss.special import chi_square_sf
 from rpgauss import epps
-from rpgauss.epps import _fit_gaussian_cf, _lag_window
 from rpgauss.projection import StickBreakingParams, draw_projection_vector, project_series
 
 from oracles import ks_distance, reference_fit_gaussian_cf, spectral_brute
@@ -371,6 +373,6 @@ def test_epps_null_p_values_uniform():
     ps = []
     for i in range(500):
         stream = rng.for_replication(i)
-        ps.append(epps_test(rg.simulate_ar1(proc, stream), "fixed").p_value)
+        ps.append(epps_test(simulate_ar1(proc, stream), "fixed").p_value)
     ks = ks_distance(ps, lambda u: min(max(u, 0.0), 1.0))
     assert ks < 1.6276 / math.sqrt(500)

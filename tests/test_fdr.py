@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpgauss import by_reject, combined_p
+from rpgauss.fdr import by_reject, combined_p
 
 from oracles import fdr_p0, fdr_reject
 

@@ -1,0 +1,75 @@
+"""Golden fixed-seed outputs of the command line (in tests/golden/), and the
+link between its two front ends.
+
+`rpgauss simulate` must reproduce its CSV byte for byte. In the JSON of
+`rpgauss test`, keys, strings, ints and statistics must be identical; the
+p-value fields may move by 1e-13 relative, the drift allowed for the
+chi-square survival function.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from rpgauss import RngStream, Series
+from rpgauss.cli import main, read_values
+from rpgauss.simulation import compute_p_value, parse_test_kind
+
+GOLDEN = Path(__file__).parent / "golden"
+SERIES = str(GOLDEN / "series.txt")
+KINDS = ("E", "G", "GE", "RP", "RPmulti:3")
+P_FIELDS = ("p_value", "combined_p")
+
+SIMULATE = {
+    "simulate_ar1.csv": ["simulate", "--test", "E,G,GE,RP,RPmulti:3", "--q", "0.5",
+                         "--dist", "normal,lognormal", "--n", "64", "--reps", "12",
+                         "--past", "50", "--alpha", "0.5", "--seed", "3"],
+    "simulate_wstar.csv": ["simulate", "--process", "wstar", "--p", "5", "--test", "RP",
+                           "--n", "64", "--reps", "12", "--alpha", "0.5", "--seed", "3"],
+}
+
+
+def _test_report(kind, capsys):
+    assert main(["test", "--input", SERIES, "--test", kind, "--seed", "5"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _assert_same(got, want, path="report", key=None):
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for k in want:
+            _assert_same(got[k], want[k], f"{path}.{k}", k)
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{path}[{i}]", key)
+    elif isinstance(want, float) and key in P_FIELDS:
+        assert math.isclose(got, want, rel_tol=1e-13, abs_tol=0.0), (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE))
+def test_simulate_csv_matches_golden(name, capsys):
+    assert main(SIMULATE[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_test_json_matches_golden(kind, capsys):
+    report = _test_report(kind, capsys)
+    assert report.pop("input") == SERIES
+    want = json.loads((GOLDEN / "test_reports.json").read_text())[kind]
+    _assert_same(report, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_printed_p_value_is_compute_p_value(kind, capsys):
+    # `rpgauss test` and a simulation replication run the same dispatch
+    printed = _test_report(kind, capsys)["result"]["p_value"]
+    parsed, k_pairs = parse_test_kind(kind)
+    series = Series(read_values(SERIES))
+    assert printed == compute_p_value(series, parsed, RngStream(5), k_pairs=k_pairs)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rpgauss import (RngStream, Series, StickBreakingParams,
-                     build_projection_vector, draw_projection_vector,
-                     project_series, stick_breaking)
+from rpgauss import RngStream, Series
+from rpgauss.projection import (StickBreakingParams, build_projection_vector,
+                                draw_projection_vector, project_series, stick_breaking)
 
 
 def test_params_validation():
@@ -132,11 +132,3 @@ def test_projection_length_and_linearity():
     rhs = a * project_series(Series(xv), pv).values + b * project_series(Series(zv), pv).values
     assert lhs.size == 60
     assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
-
-
-def test_drawn_vector_records_parameters():
-    params = StickBreakingParams(2.0, 7.0, n_cap=50, delta=1e-15)
-    pv = draw_projection_vector(params, RngStream(40))
-    assert pv.alpha1 == 2.0 and pv.alpha2 == 7.0
-    d = pv.as_dict()
-    assert d["alpha1"] == 2.0 and len(d["h"]) == pv.h.size

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-import rpgauss as rg
-from rpgauss import (DegenerateSeriesError, RngStream, RpConfig, Series,
-                     combined_p, multi_projection_plans, rp_test, rp_test_multi)
+from rpgauss import DegenerateSeriesError, RngStream, Series, rp_test
+from rpgauss.fdr import combined_p
+from rpgauss.rp import ProjectionPlan, RpConfig, multi_projection_plans, rp_test_multi
 from rpgauss.rp import DEFAULT_PLANS, EPPS, LV
 
 
@@ -103,7 +103,7 @@ def test_config_requires_plans():
 
 
 def test_custom_config_is_used():
-    cfg = RpConfig(plans=(rg.ProjectionPlan(5.0, 1.0, LV),), epps_mode="random")
+    cfg = RpConfig(plans=(ProjectionPlan(5.0, 1.0, LV),), epps_mode="random")
     report = rp_test(_series(), cfg, RngStream(4))
     assert len(report.projections) == 1
     assert report.projections[0].test == LV

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-import rpgauss as rg
-from rpgauss import (Ar1Process, DegenerateSeriesError, InnovationFamily,
-                     NumericalError, RngStream, WstarProcess, parse_test_kind,
-                     rejection_rate, sample_innovations, simulate_ar1,
-                     simulate_wstar, simulate_wstar_path)
+from rpgauss import (Ar1Process, DegenerateSeriesError, InnovationFamily, NumericalError,
+                     RngStream, rejection_rate)
+from rpgauss.rng import sample_innovations
+from rpgauss.simulation import (WstarProcess, compute_p_value, parse_test_kind, simulate_ar1,
+                                simulate_wstar, simulate_wstar_path)
+from rpgauss.special import normal_quantile
 
 from oracles import erf_norm_cdf, ks_critical, ks_distance, ks_two_sample
 
@@ -90,7 +91,7 @@ def test_wstar_adjacent_pairs_nearly_uncorrelated():
 
 def test_wstar_levels_match_values():
     path = simulate_wstar_path(WstarProcess(p=3, n=50), RngStream(208))
-    qs = [-np.inf, rg.normal_quantile(1.0 / 3.0), rg.normal_quantile(2.0 / 3.0), np.inf]
+    qs = [-np.inf, normal_quantile(1.0 / 3.0), normal_quantile(2.0 / 3.0), np.inf]
     for level, value in zip(path.levels, path.series.values):
         assert qs[level] <= value <= qs[level + 1]
 
@@ -144,6 +145,18 @@ def test_calibration_loop_back():
     assert 0.005 <= res.rate <= 0.12
 
 
+def test_rate_rejects_bad_arguments():
+    proc = Ar1Process(q=0.0, innovation=InnovationFamily.STD_NORMAL, n=64, past=10)
+    for bad in ({"workers": 0}, {"workers": -5}, {"reps": 0},
+                {"alpha": 1.5}, {"alpha": 0.0}, {"alpha": float("nan")}):
+        kwargs = {"reps": 5, "alpha": 0.05, "workers": 1, **bad}
+        with pytest.raises(ValueError):
+            rejection_rate(proc, "G", rng=RngStream(1), **kwargs)
+    short = Ar1Process(q=0.0, innovation=InnovationFamily.STD_NORMAL, n=7, past=10)
+    with pytest.raises(ValueError, match="at least 8"):
+        rejection_rate(short, "G", reps=5, alpha=0.05, rng=RngStream(1))
+
+
 def test_error_budget_aborts(monkeypatch):
     proc = Ar1Process(q=0.0, innovation=InnovationFamily.STD_NORMAL, n=50, past=0)
 
@@ -157,7 +170,7 @@ def test_error_budget_aborts(monkeypatch):
 
 def test_error_budget_tolerates_rare_failures(monkeypatch):
     proc = Ar1Process(q=0.0, innovation=InnovationFamily.STD_NORMAL, n=50, past=0)
-    real = rg.compute_p_value
+    real = compute_p_value
     calls = {"count": 0}
 
     def flaky(series, kind, rng, **kwargs):
