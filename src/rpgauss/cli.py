@@ -132,7 +132,7 @@ def _cells_from_file(path: str, args) -> list[dict]:
     if not isinstance(experiment, dict) or not isinstance(experiment.get("cells"), list):
         raise ValueError("experiment file must be a JSON object with a 'cells' list")
     if "seed" in experiment:
-        args.seed = int(experiment["seed"])
+        args.seed = _integral(experiment["seed"], "seed")
     if "alpha" in experiment:
         args.alpha = float(experiment["alpha"])
     cells = []
@@ -143,21 +143,30 @@ def _cells_from_file(path: str, args) -> list[dict]:
     return cells
 
 
+def _integral(value, name: str) -> int:
+    """An integral JSON number as an int; 64.7, "64" and true are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integral number, got {json.dumps(value)}")
+
+
 def _prepare_cell(cell: dict, args) -> tuple:
     """(process, test label, q field, dist field, reps) of a validated cell."""
     label, _, _ = resolve_test(cell["test"], args.projections)
     process = cell.get("process", "ar1")
     if process == "wstar":
-        proc = WstarProcess(p=int(cell["p"]), n=int(cell["n"]))
+        proc = WstarProcess(p=_integral(cell["p"], "p"), n=_integral(cell["n"], "n"))
         q_field, dist_field = "", f"wstar(p={proc.p})"
     elif process == "ar1":
         family = _parse_dist(cell["dist"])
         proc = Ar1Process(q=float(cell["q"]), innovation=family,
-                          n=int(cell["n"]), past=int(cell["past"]))
+                          n=_integral(cell["n"], "n"), past=_integral(cell["past"], "past"))
         q_field, dist_field = repr(proc.q), family.value
     else:
         raise ValueError(f"unknown process {process!r} (choose ar1 or wstar)")
-    reps = int(cell["reps"])
+    reps = _integral(cell["reps"], "reps")
     check_cell(proc, label, reps, args.alpha, args.workers)
     return proc, label, q_field, dist_field, reps
 
@@ -234,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generator family (default ar1)")
     p_sim.add_argument("--p", type=int, default=None, help="prime for the wstar process")
     p_sim.add_argument("--workers", type=int, default=1,
-                       help="worker threads for replications (default 1)")
+                       help="worker processes for replications (default 1)")
     p_sim.add_argument("--experiment", default=None,
                        help="JSON experiment file (overrides the cell flags)")
     return parser

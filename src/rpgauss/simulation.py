@@ -8,8 +8,8 @@ standard-normal marginal built from modular arithmetic over a prime.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -234,7 +234,8 @@ def check_cell(process: Process, test: str, reps: int, alpha: float,
     """Validate a rejection-rate cell before it runs; returns the parsed kind.
 
     The series must have at least MIN_N values, the shortest every test
-    accepts; reps and workers must be positive.
+    accepts; reps and workers must be positive, and more than one worker
+    needs the fork start method.
     """
     if process.n < MIN_N:
         raise ValueError(f"n must be at least {MIN_N}, got {process.n}")
@@ -242,6 +243,12 @@ def check_cell(process: Process, test: str, reps: int, alpha: float,
         raise ValueError("reps must be positive")
     if workers < 1:
         raise ValueError("workers must be positive")
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError("workers > 1 needs the fork start method, "
+                             "which this platform lacks")
     _check_alpha(alpha)
     return parse_test_kind(test)
 
@@ -255,6 +262,23 @@ class RateResult:
     errors: int
 
 
+def _run_replications(indices: range, process: Process, kind: str, k_pairs: int | None,
+                      alpha: float, rng: RngStream, epps_mode: str | None,
+                      lv: LvConfig) -> list[tuple[bool, bool]]:
+    """(rejected, failed) of each replication in `indices`, in that order."""
+    outcomes = []
+    for i in indices:
+        stream = rng.for_replication(i)
+        try:
+            path = simulate(process, stream)
+            p = compute_p_value(path, kind, stream, k_pairs=k_pairs,
+                                epps_mode=epps_mode, lv=lv)
+            outcomes.append((p <= alpha, False))
+        except (DegenerateSeriesError, NumericalError):
+            outcomes.append((False, True))
+    return outcomes
+
+
 def rejection_rate(process: Process, test: str, reps: int, alpha: float,
                    rng: RngStream, epps_mode: str | None = None,
                    lv: LvConfig = LvConfig(), workers: int = 1) -> RateResult:
@@ -262,27 +286,34 @@ def rejection_rate(process: Process, test: str, reps: int, alpha: float,
 
     Replication i runs on the stream (master_seed, stream_id=i): the generator
     and the test consume that stream in sequence, so the result depends only
-    on the master seed. Failed replications (degenerate series, numerical
-    breakdown) are dropped from the denominator when they stay within 1% of
-    reps; beyond that the run aborts.
+    on the master seed, never on `workers`. Failed replications (degenerate
+    series, numerical breakdown) are dropped from the denominator when they
+    stay within 1% of reps; beyond that the run aborts.
+
+    With workers > 1 the replications run in min(workers, reps) processes
+    forked for this call, worker w taking replications w, w + workers, ...;
+    their outcomes are put back in replication order. Fork, not spawn: the
+    workers start with the caller's modules loaded instead of importing them
+    again, and as with any fork the caller should run no other threads. Any
+    other exception in a worker is raised here, as it would be in one
+    process. More workers than cores gain nothing.
     """
     kind, k_pairs = check_cell(process, test, reps, alpha, workers)
-
-    def one(i: int) -> tuple[bool, bool]:
-        stream = rng.for_replication(i)
-        try:
-            path = simulate(process, stream)
-            p = compute_p_value(path, kind, stream, k_pairs=k_pairs,
-                                epps_mode=epps_mode, lv=lv)
-            return p <= alpha, False
-        except (DegenerateSeriesError, NumericalError):
-            return False, True
-
+    run = partial(_run_replications, process=process, kind=kind, k_pairs=k_pairs,
+                  alpha=alpha, rng=rng, epps_mode=epps_mode, lv=lv)
+    workers = min(workers, reps)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(reps)))
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        shards = [range(w, reps, workers) for w in range(workers)]
+        outcomes = [None] * reps
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            for shard, shard_outcomes in zip(shards, pool.map(run, shards)):
+                outcomes[shard.start::workers] = shard_outcomes
     else:
-        outcomes = [one(i) for i in range(reps)]
+        outcomes = run(range(reps))
 
     errors = sum(1 for _, failed in outcomes if failed)
     if errors > 0.01 * reps:

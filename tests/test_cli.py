@@ -298,6 +298,16 @@ def test_cmd_simulate_bad_cell_fails_before_output(flags, cell, capsys):
     ({"process": "ar1", "q": None, "dist": "normal", "n": 64, "test": "G"}, "cell 2"),
     ({"process": "ar1", "q": 0.0, "dist": 5, "n": 64, "test": "G"}, "cell 2"),
     ("G", "cell 2 of the experiment file is not a JSON object"),
+    ({"process": "ar1", "q": 0.0, "dist": "normal", "n": 64.7, "test": "G"},
+     "n must be an integral number, got 64.7"),
+    ({"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 2.5},
+     "reps must be an integral number, got 2.5"),
+    ({"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": True},
+     "reps must be an integral number, got true"),
+    ({"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "past": 50.5},
+     "past must be an integral number, got 50.5"),
+    ({"process": "wstar", "p": 5.5, "n": 64, "test": "G"}, "p must be an integral number"),
+    ({"process": "wstar", "p": 5, "n": "64", "test": "G"}, "n must be an integral number"),
 ])
 def test_cmd_simulate_bad_experiment_cell(tmp_path, capsys, bad, message):
     good = {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 2}
@@ -307,3 +317,20 @@ def test_cmd_simulate_bad_experiment_cell(tmp_path, capsys, bad, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cell 2" in captured.err and message in captured.err
+
+
+def test_cmd_simulate_experiment_seed_is_integral(tmp_path, capsys):
+    cell = {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 4}
+    path = tmp_path / "exp.json"
+    rows = []
+    for seed, n in ((3, 64), (3.0, 64.0)):  # an integral float is the same number
+        path.write_text(json.dumps({"seed": seed, "cells": [{**cell, "n": n}]}))
+        assert main(["simulate", "--experiment", str(path)]) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[0] == rows[1]
+    for seed in (2.5, True, "3"):
+        path.write_text(json.dumps({"seed": seed, "cells": [cell]}))
+        assert main(["simulate", "--experiment", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be an integral number" in captured.err

@@ -52,9 +52,12 @@ def _assert_same(got, want, path="report", key=None):
         assert got == want, (path, got, want)
 
 
-@pytest.mark.parametrize("name", sorted(SIMULATE))
-def test_simulate_csv_matches_golden(name, capsys):
-    assert main(SIMULATE[name]) == 0
+@pytest.mark.parametrize("name, workers", [
+    pytest.param(name, workers, id=name if workers == 1 else f"{name}-workers{workers}")
+    for name in sorted(SIMULATE) for workers in (1, 2, 3)])
+def test_simulate_csv_matches_golden(name, workers, capsys):
+    # any number of worker processes prints the same bytes as one
+    assert main(SIMULATE[name] + ["--workers", str(workers)]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 

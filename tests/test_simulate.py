@@ -1,10 +1,13 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from rpgauss import (Ar1Process, DegenerateSeriesError, InnovationFamily, NumericalError,
                      RngStream, rejection_rate)
+from rpgauss import simulation
 from rpgauss.rng import sample_innovations
 from rpgauss.simulation import (WstarProcess, compute_p_value, parse_test_kind, simulate_ar1,
                                 simulate_wstar, simulate_wstar_path)
@@ -183,3 +186,65 @@ def test_error_budget_tolerates_rare_failures(monkeypatch):
     res = rejection_rate(proc, "G", reps=200, alpha=0.05, rng=RngStream(215))
     assert res.errors == 1
     assert res.reps == 199
+
+
+@pytest.mark.parametrize("proc, test", [
+    (Ar1Process(q=0.5, innovation=InnovationFamily.STD_LOGNORMAL, n=64, past=50), "RP"),
+    (WstarProcess(p=5, n=64), "G"),
+])
+def test_rate_is_worker_invariant(proc, test):
+    results = [rejection_rate(proc, test, reps=7, alpha=0.5, rng=RngStream(216), workers=w)
+               for w in (1, 2, 3)]
+    assert results[0] == results[1] == results[2]
+    # more workers than replications: one process per replication
+    few = [rejection_rate(proc, test, reps=3, alpha=0.5, rng=RngStream(216), workers=w)
+           for w in (1, 8)]
+    assert few[0] == few[1]
+
+
+def _fail_on(monkeypatch, failing):
+    """Make simulate fail on the replications (stream ids) in `failing`."""
+    real = simulation.simulate
+
+    def patched(process, stream):
+        if stream.stream_id in failing:
+            raise DegenerateSeriesError(f"forced failure on replication {stream.stream_id}")
+        return real(process, stream)
+
+    monkeypatch.setattr(simulation, "simulate", patched)
+
+
+def test_failed_replications_are_worker_invariant(monkeypatch):
+    proc = Ar1Process(q=0.0, innovation=InnovationFamily.STD_NORMAL, n=50, past=0)
+    _fail_on(monkeypatch, {5})
+    results = [rejection_rate(proc, "G", reps=150, alpha=0.5, rng=RngStream(217), workers=w)
+               for w in (1, 2)]
+    assert results[0] == results[1]
+    assert results[0].errors == 1 and results[0].reps == 149
+    _fail_on(monkeypatch, {5, 40})
+    for workers in (1, 2):
+        with pytest.raises(NumericalError, match="2 of 50"):
+            rejection_rate(proc, "G", reps=50, alpha=0.5, rng=RngStream(217), workers=workers)
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    parent = os.getpid()
+    real = simulation.simulate
+
+    def fails_in_a_worker(process, stream):
+        if os.getpid() != parent:
+            raise RuntimeError("raised in a worker")
+        return real(process, stream)
+
+    monkeypatch.setattr(simulation, "simulate", fails_in_a_worker)
+    proc = Ar1Process(q=0.0, innovation=InnovationFamily.STD_NORMAL, n=50, past=0)
+    with pytest.raises(RuntimeError, match="raised in a worker"):
+        rejection_rate(proc, "G", reps=4, alpha=0.05, rng=RngStream(218), workers=2)
+
+
+def test_workers_need_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    proc = Ar1Process(q=0.0, innovation=InnovationFamily.STD_NORMAL, n=50, past=0)
+    with pytest.raises(ValueError, match="fork"):
+        rejection_rate(proc, "G", reps=4, alpha=0.05, rng=RngStream(219), workers=2)
+    assert rejection_rate(proc, "G", reps=4, alpha=0.05, rng=RngStream(219)).reps == 4
