@@ -38,8 +38,11 @@ EXIT_NUMERICAL = 3
 def read_values(path: str) -> np.ndarray:
     """Parse one numeric value per line; a non-numeric first line is treated
     as a header and skipped; a value may carry commas (single-column CSV, so
-    `1.5,` is read as 1.5), but a line with two or more values is rejected."""
+    `1.5,` is read as 1.5), but a line with two or more values is rejected,
+    and so is a value with underscore digit grouping (`1_000`)."""
     text = Path(path).read_text()
+    if "_" in text:
+        _reject_digit_grouping(text)
     values: list[float] = []
     header_ok = True  # until the first non-empty line has been read
     for number, line in enumerate(text.splitlines(), start=1):
@@ -72,6 +75,20 @@ def read_values(path: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("input contains non-finite values")
     return arr
+
+
+def _reject_digit_grouping(text: str) -> None:
+    """Raise at the first line holding a value that float() reads only
+    because Python number literals allow `_` between digits."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        for token in line.split(","):
+            if "_" not in token:
+                continue
+            try:
+                float(token)
+            except ValueError:
+                continue  # not a number at all: a header, or garbage reported later
+            raise ValueError(f"digit grouping with '_' at line {number}: {line.strip()!r}")
 
 
 def _lv_config(args) -> LvConfig:
@@ -134,13 +151,24 @@ def _cells_from_file(path: str, args) -> list[dict]:
     if "seed" in experiment:
         args.seed = _integral(experiment["seed"], "seed")
     if "alpha" in experiment:
-        args.alpha = float(experiment["alpha"])
+        args.alpha = _number(experiment["alpha"], "alpha")
     cells = []
     for i, cell in enumerate(experiment["cells"], start=1):
         if not isinstance(cell, dict):
             raise ValueError(f"cell {i} of the experiment file is not a JSON object")
         cells.append({"reps": args.reps, "past": args.past, **cell})
     return cells
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; "0.5", true and integers beyond the float
+    range are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
 
 
 def _integral(value, name: str) -> int:
@@ -161,7 +189,7 @@ def _prepare_cell(cell: dict, args) -> tuple:
         q_field, dist_field = "", f"wstar(p={proc.p})"
     elif process == "ar1":
         family = _parse_dist(cell["dist"])
-        proc = Ar1Process(q=float(cell["q"]), innovation=family,
+        proc = Ar1Process(q=_number(cell["q"], "q"), innovation=family,
                           n=_integral(cell["n"], "n"), past=_integral(cell["past"], "past"))
         q_field, dist_field = repr(proc.q), family.value
     else:

@@ -87,9 +87,14 @@ def _cf_components(values: np.ndarray, lam_values: np.ndarray) -> np.ndarray:
     return comp
 
 
-def empirical_cf_vector(y: Series, lam: Lambda) -> np.ndarray:
-    """(Re, Im) pairs of the empirical characteristic function at each frequency."""
-    return _cf_components(y.values, lam.values).mean(axis=1)
+def empirical_cf_vector(y: Series, lam: Lambda, rows: np.ndarray | None = None) -> np.ndarray:
+    """(Re, Im) pairs of the empirical characteristic function at each frequency.
+
+    `rows` are the cos/sin rows of y at lam, when the caller already has them.
+    """
+    if rows is None:
+        rows = _cf_components(y.values, lam.values)
+    return rows.mean(axis=1)
 
 
 def gaussian_cf_vector(nu: float, rho: float, lam: Lambda) -> np.ndarray:
@@ -114,14 +119,18 @@ def _lag_window(n: int) -> int:
     return c
 
 
-def spectral_density_at_zero(y: Series, lam: Lambda) -> np.ndarray:
+def spectral_density_at_zero(y: Series, lam: Lambda,
+                             rows: np.ndarray | None = None) -> np.ndarray:
     """Lag-window estimate of the spectral density matrix of the cos/sin
     process at frequency zero, with triangular weights up to floor(n^(2/5));
     symmetrized as (M + M^T)/2 after assembly.
+
+    `rows` are the cos/sin rows of y at lam, when the caller already has them.
     """
     n = y.n
-    comp = _cf_components(y.values, lam.values)
-    dev = comp - comp.mean(axis=1, keepdims=True)
+    if rows is None:
+        rows = _cf_components(y.values, lam.values)
+    dev = rows - rows.mean(axis=1, keepdims=True)
     cap = _lag_window(n)
     m = dev @ dev.T
     for i in range(1, cap + 1):
@@ -301,8 +310,13 @@ def minimize_q(y: Series, lam: Lambda, target_cf: np.ndarray | None = None):
     gamma0 = y.autocovariance(0)
     if gamma0 <= 0.0:
         raise DegenerateSeriesError("sample variance must be positive")
-    g_target = empirical_cf_vector(y, lam) if target_cf is None else np.asarray(target_cf, float)
-    g_plus = pseudo_inverse(2.0 * math.pi * spectral_density_at_zero(y, lam))
+    # the cos/sin rows feed both the CF vector and the spectral matrix
+    rows = _cf_components(y.values, lam.values)
+    if target_cf is None:
+        g_target = empirical_cf_vector(y, lam, rows)
+    else:
+        g_target = np.asarray(target_cf, float)
+    g_plus = pseudo_inverse(2.0 * math.pi * spectral_density_at_zero(y, lam, rows))
     return _fit_gaussian_cf(g_target, g_plus, lam, mu0, gamma0)
 
 

@@ -49,11 +49,12 @@ def f_hat_k(y: Series, k: int, tau: int) -> float:
     if int(tau) != tau or not 1 <= tau <= y.n - 1:
         raise ValueError(f"tau must be an integer in [1, {y.n - 1}], got {tau!r}")
     tau = int(tau)
+    acov = y.autocovariances(tau).tolist()
     total = 0.0
     for t in range(1, tau + 1):
-        gt = y.autocovariance(t)
-        total += gt * (gt + y.autocovariance(tau + 1 - t)) ** (k - 1)
-    return 2.0 * total + y.autocovariance(0) ** k
+        gt = acov[t]
+        total += gt * (gt + acov[tau + 1 - t]) ** (k - 1)
+    return 2.0 * total + acov[0] ** k
 
 
 @dataclass(frozen=True)

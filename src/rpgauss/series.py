@@ -10,11 +10,12 @@ import numpy as np
 
 
 class Series:
-    """Immutable real-valued path. Moments and autocovariances are computed
-    lazily and cached, since the marginal tests reuse them repeatedly.
+    """Immutable real-valued path. The deviations from the mean, the moments
+    and the autocovariances are computed lazily and cached, since the
+    marginal tests reuse them repeatedly.
     """
 
-    __slots__ = ("_x", "_mean", "_moments", "_acov")
+    __slots__ = ("_x", "_mean", "_dev", "_moments", "_acov")
 
     def __init__(self, values):
         x = np.asarray(values, dtype=float)
@@ -28,8 +29,9 @@ class Series:
         x.setflags(write=False)
         self._x = x
         self._mean: float | None = None
+        self._dev: np.ndarray | None = None
         self._moments: dict[int, float] = {}
-        self._acov: dict[int, float] = {}
+        self._acov = np.empty(0)  # lags 0..size-1, extended on demand
 
     @property
     def values(self) -> np.ndarray:
@@ -48,15 +50,49 @@ class Series:
             self._mean = float(np.mean(self._x))
         return self._mean
 
+    def _deviations(self) -> np.ndarray:
+        """x - mean, computed once."""
+        if self._dev is None:
+            self._dev = self._x - self.mean()
+        return self._dev
+
     def centered_moment(self, k: int) -> float:
         """Sample centered moment of order k >= 2: n^-1 sum (x_i - mean)^k."""
         if int(k) != k or k < 2:
             raise ValueError(f"centered moment order must be an integer >= 2, got {k!r}")
         k = int(k)
         if k not in self._moments:
-            dev = self._x - self.mean()
-            self._moments[k] = float(np.sum(dev**k) / self.n)
+            # products of the deviations: numpy's ** has no fast path beyond
+            # the square, and calls pow() per element
+            dev = self._deviations()
+            square = dev * dev
+            power = square
+            for _ in range(k // 2 - 1):
+                power = power * square
+            if k % 2:
+                power = power * dev
+            self._moments[k] = float(np.sum(power) / self.n)
         return self._moments[k]
+
+    def _lagged_product(self, lag: int) -> float:
+        dev = self._deviations()
+        return float(np.dot(dev[: self.n - lag], dev[lag:]) / self.n)
+
+    def autocovariances(self, max_lag: int) -> np.ndarray:
+        """Sample autocovariances of orders 0..max_lag, as a read-only array;
+        each equals autocovariance(t)."""
+        if int(max_lag) != max_lag or not 0 <= max_lag < self.n:
+            raise ValueError(f"max_lag must be an integer in [0, {self.n - 1}], got {max_lag!r}")
+        max_lag = int(max_lag)
+        have = self._acov.size
+        if have <= max_lag:
+            # lag 0 is the second centered moment, kept exactly equal
+            new = [self.centered_moment(2)] if have == 0 else []
+            new += [self._lagged_product(lag) for lag in range(max(have, 1), max_lag + 1)]
+            acov = np.concatenate((self._acov, new))
+            acov.setflags(write=False)
+            self._acov = acov
+        return self._acov[: max_lag + 1]
 
     def autocovariance(self, t: int) -> float:
         """Sample autocovariance of order t, |t| <= n-1, divisor n at all lags."""
@@ -68,7 +104,7 @@ class Series:
         if lag == 0:
             # identical formula to the second centered moment, kept exactly equal
             return self.centered_moment(2)
-        if lag not in self._acov:
-            dev = self._x - self.mean()
-            self._acov[lag] = float(np.dot(dev[: self.n - lag], dev[lag:]) / self.n)
-        return self._acov[lag]
+        if lag < self._acov.size:
+            return float(self._acov[lag])
+        # one lag at a time stays O(n): the cached vector grows only in autocovariances
+        return self._lagged_product(lag)

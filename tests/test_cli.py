@@ -68,6 +68,23 @@ def test_read_rejects_mid_file_garbage(tmp_path):
         read_values(str(p))
 
 
+def test_read_rejects_digit_grouping(tmp_path, capsys):
+    # float() reads "1_000" as 1000; a data file must not
+    p = tmp_path / "x.txt"
+    p.write_text("1\n2\n1_000\n4\n5\n6\n7\n8\n9\n")
+    with pytest.raises(ValueError, match="line 3"):
+        read_values(str(p))
+    p.write_text("1_000\n2\n3\n4\n5\n6\n7\n8\n9\n")  # not taken for a header
+    with pytest.raises(ValueError, match="line 1"):
+        read_values(str(p))
+    p.write_text("1\n2\n3\n4\n5\n6,\n7\n8\n9_0,\n")
+    assert main(["test", "--input", str(p), "--test", "G"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line 9" in captured.err
+    p.write_text("my_value\n1\n2\n3\n4\n5\n6\n7\n8\n")  # a header may hold '_'
+    assert read_values(str(p)).tolist() == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
 def test_read_rejects_nan(tmp_path):
     p = tmp_path / "x.txt"
     p.write_text("\n".join(["1"] * 10 + ["nan"]))
@@ -308,6 +325,12 @@ def test_cmd_simulate_bad_cell_fails_before_output(flags, cell, capsys):
      "past must be an integral number, got 50.5"),
     ({"process": "wstar", "p": 5.5, "n": 64, "test": "G"}, "p must be an integral number"),
     ({"process": "wstar", "p": 5, "n": "64", "test": "G"}, "n must be an integral number"),
+    ({"process": "ar1", "q": "0.5", "dist": "normal", "n": 64, "test": "G"},
+     'q must be a number, got "0.5"'),
+    ({"process": "ar1", "q": True, "dist": "normal", "n": 64, "test": "G"},
+     "q must be a number, got true"),
+    ({"process": "ar1", "q": 10**400, "dist": "normal", "n": 64, "test": "G"},
+     "q must be a number, got 1000"),
 ])
 def test_cmd_simulate_bad_experiment_cell(tmp_path, capsys, bad, message):
     good = {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 2}
@@ -334,3 +357,17 @@ def test_cmd_simulate_experiment_seed_is_integral(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "seed must be an integral number" in captured.err
+
+
+def test_cmd_simulate_experiment_alpha_is_a_number(tmp_path, capsys):
+    cell = {"process": "ar1", "q": 0, "dist": "normal", "n": 64, "test": "G", "reps": 4}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"seed": 3, "alpha": 0.5, "cells": [cell]}))
+    assert main(["simulate", "--experiment", str(path)]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+    for alpha in (True, "0.05"):
+        path.write_text(json.dumps({"seed": 3, "alpha": alpha, "cells": [cell]}))
+        assert main(["simulate", "--experiment", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"alpha must be a number, got {json.dumps(alpha)}" in captured.err

@@ -317,6 +317,47 @@ def test_fit_matches_numpy_reference(monkeypatch):
     assert abs(float(np.median(mine_evals)) - float(np.median(ref_evals))) <= 5
 
 
+def _projected_n2000():
+    # a fixed-seed AR(1) lognormal path of 2000 values on a Beta(2,7) direction
+    stream = RngStream(90)
+    proc = Ar1Process(q=0.5, innovation=InnovationFamily.STD_LOGNORMAL, n=2000, past=1000)
+    x = simulate_ar1(proc, stream)
+    y = project_series(x, draw_projection_vector(StickBreakingParams(2.0, 7.0, n_cap=2000), stream))
+    return y, stream
+
+
+def test_minimize_q_shares_the_cf_rows_bit_for_bit(monkeypatch):
+    # the cos/sin rows minimize_q computes once give both consumers exactly
+    # what each computes alone
+    y, stream = _projected_n2000()
+    lam = draw_lambda(y.autocovariance(0), "random", stream)
+    consumers = {name: getattr(epps, name)
+                 for name in ("empirical_cf_vector", "spectral_density_at_zero")}
+    seen = {}
+    for name, fn in consumers.items():
+        def record(y_arg, lam_arg, *rows, _fn=fn, _name=name):
+            seen[_name] = (y_arg, lam_arg, len(rows), _fn(y_arg, lam_arg, *rows))
+            return seen[_name][-1]
+        monkeypatch.setattr(epps, name, record)
+    minimize_q(y, lam)
+    assert sorted(seen) == sorted(consumers)
+    for name, (y_arg, lam_arg, n_rows, shared) in seen.items():
+        assert y_arg is y and lam_arg is lam and n_rows == 1
+        alone = consumers[name](y, lam)
+        assert shared.shape == alone.shape and np.array_equal(shared, alone), name
+
+
+def test_cf_statistics_unchanged_on_a_projected_series():
+    # bit-identical to the values before minimize_q shared its cos/sin rows
+    y, stream = _projected_n2000()
+    fixed = epps_test(y, "fixed")
+    assert (fixed.statistic, fixed.mu_n, fixed.gamma_n) == (
+        91.46438845894534, 3.985998516421726, 1.751411113447105)
+    random = epps_test(y, "random", stream)
+    assert (random.statistic, random.mu_n, random.gamma_n) == (
+        64.51452302431406, 3.9468130364179554, 1.6769778724110602)
+
+
 # -- full test -------------------------------------------------------------------------
 
 def test_epps_guards():

@@ -60,12 +60,29 @@ def test_against_brute_force():
     for _ in range(10):
         x = rng.standard_normal(17)
         s = Series(x)
-        for k in (2, 3, 4):
+        for k in (2, 3, 4, 5, 6):
             assert s.centered_moment(k) == pytest.approx(
                 centered_moment_brute(x, k), rel=1e-12, abs=1e-12)
         for t in (0, 1, 5, 16):
             assert s.autocovariance(t) == pytest.approx(
                 autocov_brute(x, t), rel=1e-12, abs=1e-12)
+
+
+def test_autocovariances_are_the_single_lags():
+    x = RngStream(25).standard_normal(50)
+    single = Series(x)
+    want = [single.autocovariance(t) for t in range(50)]
+    s = Series(x)
+    for max_lag in (0, 3, 12, 7, 49):  # grows the cached vector, then slices it
+        got = s.autocovariances(max_lag)
+        assert got.tolist() == want[: max_lag + 1]  # exact, not approximate
+        assert not got.flags.writeable
+    assert [s.autocovariance(t) for t in range(50)] == want
+    assert s.autocovariances(49) == pytest.approx(
+        [autocov_brute(x, t) for t in range(50)], rel=1e-12, abs=1e-12)
+    for bad in (-1, 50, 2.5):
+        with pytest.raises(ValueError):
+            s.autocovariances(bad)
 
 
 def test_cauchy_schwarz_bound():
