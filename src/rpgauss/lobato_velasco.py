@@ -94,11 +94,6 @@ def _statistic_parts(y: Series, cfg: LvConfig) -> tuple[float, float, float, int
     return stat, f3, f4, tau
 
 
-def lv_statistic(y: Series, cfg: LvConfig = LvConfig()) -> float:
-    """The skewness-kurtosis statistic for the configured variant."""
-    return _statistic_parts(y, cfg)[0]
-
-
 def lv_test(y: Series, cfg: LvConfig = LvConfig()) -> LvResult:
     """Run the test: statistic plus its chi-square(2) upper-tail p-value.
 

@@ -24,6 +24,12 @@ from .special import normal_quantile
 
 DEFAULT_PAST = 1000
 MIN_N = 8  # the shortest series every test accepts
+# The most values one path may generate (AR(1): past + n), 80 MB per float
+# array, so a mistyped size fails before any output, not in an allocation.
+MAX_N = 10**7
+# The largest w* p allowed: (p-1)**2 < 2**63, so the levels z0 + k*y0 <= p*(p-1)
+# fit in int64.
+MAX_P = math.isqrt(2**63 - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,8 @@ class Ar1Process:
             raise ValueError("n must be positive")
         if self.past < 0:
             raise ValueError("past must be non-negative")
+        if self.past + self.n > MAX_N:
+            raise ValueError(f"past + n must be at most {MAX_N}, got {self.past + self.n}")
 
 
 def simulate_ar1(proc: Ar1Process, rng: RngStream) -> Series:
@@ -77,10 +85,14 @@ class WstarProcess:
     n: int
 
     def __post_init__(self):
+        if self.p > MAX_P:  # checked first: trial division of a huge p never ends
+            raise ValueError(f"p must be at most {MAX_P}, got {self.p!r}")
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.n > MAX_N:
+            raise ValueError(f"n must be at most {MAX_N}, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +118,12 @@ def simulate_wstar_path(proc: WstarProcess, rng: RngStream) -> WstarPath:
     u = int(rng.integers(p))
     blocks = (n + u + p - 1) // p
     starts = np.asarray(rng.integers(p, size=blocks))
-    z = (starts[:, None] + np.arange(p)[None, :] * y0) % p
-    levels = z.ravel()[u:u + n].astype(int)
+    # position j of the concatenated blocks is step j % p of block j // p
+    j = np.arange(u, u + n)
+    levels = (starts[j // p] + (j % p) * y0) % p
     uniforms = rng.randoms(n)
-    values = np.fromiter(
-        (normal_quantile((k + uv) / p) for k, uv in zip(levels, uniforms)),
-        dtype=float, count=n)
+    args = (levels + uniforms) / p
+    values = np.fromiter(map(normal_quantile, args.tolist()), dtype=float, count=n)
     return WstarPath(series=Series(values), levels=levels, y0=y0, u=u)
 
 

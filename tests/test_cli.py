@@ -331,6 +331,16 @@ def test_cmd_simulate_bad_cell_fails_before_output(flags, cell, capsys):
      "q must be a number, got true"),
     ({"process": "ar1", "q": 10**400, "dist": "normal", "n": 64, "test": "G"},
      "q must be a number, got 1000"),
+    # sizes are bounded before anything is allocated or printed
+    ({"process": "ar1", "q": 0.0, "dist": "normal", "n": 10**11, "test": "G"},
+     "past + n must be at most 10000000"),
+    ({"process": "ar1", "q": 0.0, "dist": "normal", "n": 10**30, "test": "G"},
+     "past + n must be at most 10000000"),
+    ({"process": "ar1", "q": 0.0, "dist": "normal", "n": 10**7 - 999, "test": "G",
+      "past": 1000}, "past + n must be at most 10000000, got 10000001"),
+    ({"process": "wstar", "p": 5, "n": 10**7 + 1, "test": "G"},
+     "n must be at most 10000000"),
+    ({"process": "wstar", "p": 2**89 - 1, "n": 64, "test": "G"}, "p must be at most"),
 ])
 def test_cmd_simulate_bad_experiment_cell(tmp_path, capsys, bad, message):
     good = {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 2}

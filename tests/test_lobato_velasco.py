@@ -5,7 +5,7 @@ import pytest
 
 import rpgauss as rg
 from rpgauss import DegenerateSeriesError, LvConfig, RngStream, Series, lv_test
-from rpgauss.lobato_velasco import f_hat_k, lv_statistic
+from rpgauss.lobato_velasco import f_hat_k
 from rpgauss.simulation import simulate_ar1
 from rpgauss.special import chi_square_sf
 
@@ -77,15 +77,17 @@ def test_f_hat_against_brute_force():
 
 
 def test_statistic_zero_when_moments_match():
-    # skewness exactly 0 and fourth moment exactly 3 * variance^2
-    y = Series([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    assert lv_statistic(y) == 0.0
+    # skewness exactly 0 and fourth moment exactly 3 * variance^2 (mu2 = mu4 = 1/3)
+    y = Series([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0] * 2)
+    assert lv_test(y).statistic == 0.0
 
 
 def test_statistic_hand_example():
-    # mu3 = 0, mu2 = 1, mu4 = 1, F4 = 1.0078125: G = 16 / (24 * 1.0078125)
-    y = Series([1.0, -1.0, 1.0, -1.0])
-    assert lv_statistic(y) == pytest.approx(16.0 / (24.0 * 1.0078125), rel=1e-12)
+    # n = 8, tau = 2: mu3 = 0, mu2 = mu4 = 1, acov = (1, -7/8, 3/4), so
+    # F4 = 1 + 2 * (-7/8 + 3/4) * (-1/8)^3 = 1.00048828125 and
+    # G = 8 * (1 - 3)^2 / (24 * F4)
+    y = Series([1.0, -1.0] * 4)
+    assert lv_test(y).statistic == pytest.approx(32.0 / (24.0 * 1.00048828125), rel=1e-12)
 
 
 def test_original_variant_sums_to_n_minus_1():
@@ -106,14 +108,14 @@ def test_modified_statistic_nonnegative():
     rng = RngStream(84)
     for _ in range(20):
         y = Series(rng.standard_normal(60))
-        assert lv_statistic(y) >= 0.0
+        assert lv_test(y).statistic >= 0.0
 
 
 def test_location_scale_invariance():
     y = RngStream(85).standard_normal(80)
-    base = lv_statistic(Series(y))
-    assert lv_statistic(Series(y + 7.3)) == pytest.approx(base, rel=1e-8)
-    assert lv_statistic(Series(0.02 * y - 4.0)) == pytest.approx(base, rel=1e-8)
+    base = lv_test(Series(y)).statistic
+    assert lv_test(Series(y + 7.3)).statistic == pytest.approx(base, rel=1e-8)
+    assert lv_test(Series(0.02 * y - 4.0)).statistic == pytest.approx(base, rel=1e-8)
 
 
 def test_lv_test_guards():

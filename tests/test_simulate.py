@@ -27,6 +27,19 @@ def test_process_validation():
         WstarProcess(p=1, n=10)
 
 
+def test_process_size_bounds():
+    max_n = simulation.MAX_N
+    Ar1Process(q=0.0, innovation=InnovationFamily.STD_NORMAL, n=max_n - 1000, past=1000)
+    with pytest.raises(ValueError, match="past \\+ n must be at most"):
+        Ar1Process(q=0.0, innovation=InnovationFamily.STD_NORMAL, n=max_n - 999, past=1000)
+    WstarProcess(p=5, n=max_n)
+    with pytest.raises(ValueError, match="n must be at most"):
+        WstarProcess(p=5, n=max_n + 1)
+    # a Mersenne prime: rejected by size before any trial division
+    with pytest.raises(ValueError, match="p must be at most"):
+        WstarProcess(p=2**89 - 1, n=10)
+
+
 def test_ar1_zero_q_reduces_to_innovations():
     proc = Ar1Process(q=0.0, innovation=InnovationFamily.CHI_SQ_1, n=10_000, past=50)
     sim = simulate_ar1(proc, RngStream(201)).values
@@ -90,6 +103,45 @@ def test_wstar_adjacent_pairs_nearly_uncorrelated():
         pairs[i] = simulate_wstar(proc, rng.for_replication(i)).values
     r = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
     assert abs(r) < 0.03
+
+
+def _wstar_matrix_draws(p: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and uniforms of a w* path redrawn from the same stream, the
+    levels read off the whole (blocks x p) matrix of block sequences."""
+    rng = RngStream(seed)
+    y0 = int(rng.integers(p))
+    u = int(rng.integers(p))
+    starts = np.asarray(rng.integers(p, size=(n + u + p - 1) // p))
+    z = (starts[:, None] + np.arange(p)[None, :] * y0) % p
+    return z.ravel()[u:u + n], rng.randoms(n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 1009])
+@pytest.mark.parametrize("n", [1, 8, 50, 1000])
+def test_wstar_levels_match_block_matrix(p, n):
+    path = simulate_wstar_path(WstarProcess(p=p, n=n), RngStream(209))
+    levels, _ = _wstar_matrix_draws(p, n, 209)
+    assert np.array_equal(path.levels, levels)
+
+
+def test_wstar_values_are_quantiles_of_levels():
+    for p, n in ((5, 1000), (1009, 200)):
+        path = simulate_wstar_path(WstarProcess(p=p, n=n), RngStream(210))
+        levels, uniforms = _wstar_matrix_draws(p, n, 210)
+        expected = [normal_quantile((int(k) + float(uv)) / p) for k, uv in zip(levels, uniforms)]
+        assert path.series.values.tolist() == expected
+
+
+def test_wstar_levels_exact_at_largest_prime():
+    # the largest prime <= MAX_P, where z0 + k * y0 comes closest to 2**63;
+    # within the first block, level j is (z0 + (u + j) * y0) mod p in exact ints
+    p = 3037000493
+    assert p <= simulation.MAX_P
+    for seed in range(20):
+        path = simulate_wstar_path(WstarProcess(p=p, n=8), RngStream(seed))
+        z0 = (int(path.levels[0]) - path.u * path.y0) % p
+        expected = [(z0 + k * path.y0) % p for k in range(path.u, min(path.u + 8, p))]
+        assert path.levels[:len(expected)].tolist() == expected
 
 
 def test_wstar_levels_match_values():

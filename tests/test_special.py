@@ -27,8 +27,16 @@ def test_quantile_roundtrip_identity():
         assert abs(normal_quantile(u) - x) <= 1e-8
 
 
+def test_quantile_symmetry():
+    # for dyadic u = k / 2**20 the complement 1 - u is exact, so the quantile
+    # must be odd about 1/2 up to rounding, in the tails as well
+    for k in range(1, 2**19 + 1):
+        u = k / 2**20
+        assert abs(normal_quantile(1.0 - u) + normal_quantile(u)) <= 1e-14
+
+
 def test_quantile_domain():
-    for bad in (0.0, 1.0, -0.5, 2.0):
+    for bad in (0.0, 1.0, -0.5, 2.0, float("nan")):
         with pytest.raises(ValueError):
             normal_quantile(bad)
 
