@@ -10,7 +10,6 @@ chi-square with 2N - 2 degrees of freedom under normality.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +32,15 @@ _REL_SPREAD = 1e-10
 
 @dataclass(frozen=True)
 class Lambda:
-    """Strictly positive, pairwise distinct test frequencies."""
+    """Two strictly positive, distinct test frequencies (the design's N = 2)."""
 
     values: np.ndarray
     mode: str
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("need at least two frequencies")
+        if vals.shape != (2,):
+            raise ValueError(f"need exactly two frequencies, got shape {vals.shape}")
         if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
             raise ValueError("frequencies must be finite and strictly positive")
         if np.unique(vals).size != vals.size:
@@ -195,56 +194,75 @@ def _nelder_mead(fn, start, offsets, max_iter=_MAX_ITER, rel_spread=_REL_SPREAD)
     Stops when every coordinate range of the simplex is below rel_spread
     relative to |best| + initial offset (a scale that never vanishes), or
     after max_iter iterations.
+
+    The three vertices live in locals: best (bx, by, fb), middle (px, py, fp)
+    and worst (wx, wy, fw). Each iteration orders them by a stable insertion
+    sort on strict <, so ties keep their previous order.
     """
     x0, y0 = start
     ox, oy = offsets
-    pts = [(x0, y0), (x0 + ox, y0), (x0, y0 + oy)]
-    vals = [fn(x, y) for x, y in pts]
+    bx, by, px, py, wx, wy = x0, y0, x0 + ox, y0, x0, y0 + oy
+    fb, fp, fw = fn(bx, by), fn(px, py), fn(wx, wy)
     scale_x, scale_y = abs(ox), abs(oy)
 
     for _ in range(max_iter):
-        order = sorted(range(3), key=vals.__getitem__)
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        (bx, by), (px, py), (wx, wy) = pts
-        spread = max((max(bx, px, wx) - min(bx, px, wx)) / (abs(bx) + scale_x),
-                     (max(by, py, wy) - min(by, py, wy)) / (abs(by) + scale_y))
-        if spread < rel_spread:
+        if fp < fb:
+            bx, by, fb, px, py, fp = px, py, fp, bx, by, fb
+        if fw < fp:
+            px, py, fp, wx, wy, fw = wx, wy, fw, px, py, fp
+            if fp < fb:
+                bx, by, fb, px, py, fp = px, py, fp, bx, by, fb
+        # max() and min() of each coordinate, picked as the builtins pick them
+        hi_x = px if px > bx else bx
+        hi_x = wx if wx > hi_x else hi_x
+        lo_x = px if px < bx else bx
+        lo_x = wx if wx < lo_x else lo_x
+        hi_y = py if py > by else by
+        hi_y = wy if wy > hi_y else hi_y
+        lo_y = py if py < by else by
+        lo_y = wy if wy < lo_y else lo_y
+        spread_x = (hi_x - lo_x) / (abs(bx) + scale_x)
+        spread_y = (hi_y - lo_y) / (abs(by) + scale_y)
+        if (spread_y if spread_y > spread_x else spread_x) < rel_spread:
             break
 
         cx, cy = (bx + px) / 2.0, (by + py) / 2.0
         rx, ry = cx + (cx - wx), cy + (cy - wy)
         f_r = fn(rx, ry)
-        if vals[0] <= f_r < vals[1]:
-            pts[2], vals[2] = (rx, ry), f_r
-        elif f_r < vals[0]:
+        if fb <= f_r < fp:
+            wx, wy, fw = rx, ry, f_r
+        elif f_r < fb:
             ex, ey = cx + 2.0 * (cx - wx), cy + 2.0 * (cy - wy)
             f_e = fn(ex, ey)
             if f_e < f_r:
-                pts[2], vals[2] = (ex, ey), f_e
+                wx, wy, fw = ex, ey, f_e
             else:
-                pts[2], vals[2] = (rx, ry), f_r
+                wx, wy, fw = rx, ry, f_r
         else:
-            if f_r < vals[2]:
+            if f_r < fw:
                 kx, ky = cx + 0.5 * (rx - cx), cy + 0.5 * (ry - cy)
                 f_c = fn(kx, ky)
                 if f_c <= f_r:
-                    pts[2], vals[2] = (kx, ky), f_c
+                    wx, wy, fw = kx, ky, f_c
                     continue
             else:
                 kx, ky = cx - 0.5 * (cx - wx), cy - 0.5 * (cy - wy)
                 f_c = fn(kx, ky)
-                if f_c < vals[2]:
-                    pts[2], vals[2] = (kx, ky), f_c
+                if f_c < fw:
+                    wx, wy, fw = kx, ky, f_c
                     continue
             # shrink toward the best vertex
-            for i in (1, 2):
-                ix, iy = pts[i]
-                pts[i] = (bx + 0.5 * (ix - bx), by + 0.5 * (iy - by))
-                vals[i] = fn(*pts[i])
+            px, py = bx + 0.5 * (px - bx), by + 0.5 * (py - by)
+            fp = fn(px, py)
+            wx, wy = bx + 0.5 * (wx - bx), by + 0.5 * (wy - by)
+            fw = fn(wx, wy)
 
-    i_best = min(range(3), key=vals.__getitem__)
-    return pts[i_best], vals[i_best]
+    # the first vertex holding the smallest value
+    if fp < fb:
+        bx, by, fb = px, py, fp
+    if fw < fb:
+        bx, by, fb = wx, wy, fw
+    return (bx, by), fb
 
 
 def _fit_gaussian_cf(g_target, g_plus, lam, mu0, gamma0):
@@ -252,17 +270,20 @@ def _fit_gaussian_cf(g_target, g_plus, lam, mu0, gamma0):
     over (nu, rho), starting at (mu0, gamma0) with one restart.
 
     The search runs on Python floats: the objective is the quadratic form of
-    q_form with the Gaussian CF of gaussian_cf_vector, written out in scalar
-    arithmetic, because numpy's per-call overhead dominates at this size.
+    q_form with the Gaussian CF of gaussian_cf_vector at the two frequencies,
+    written out in scalar arithmetic, because numpy's per-call overhead
+    dominates at this size. Each v_j = (d @ G+)_j is summed over i in order,
+    then q = sum_j v_j d_j, every sum starting from 0.0, in the summation
+    order of d @ g_plus @ d.
     """
     target = np.asarray(g_target, dtype=float)
     if target.shape != (2 * lam.count,) or np.shape(g_plus) != (target.size, target.size):
         raise ValueError("dimension mismatch between vectors and matrix")
-    # (lambda_j, lambda_j^2, Re, Im of the target) per frequency; column j of
-    # G+ gives (d @ G+)_j, in the summation order of d @ g_plus @ d
-    terms = [(lv, lv * lv, re_t, im_t) for lv, re_t, im_t
-             in zip(lam.values.tolist(), target[0::2].tolist(), target[1::2].tolist())]
-    columns = np.asarray(g_plus, dtype=float).T.tolist()
+    (l0, l1), (t0, t1, t2, t3) = lam.values.tolist(), target.tolist()
+    s0, s1 = l0 * l0, l1 * l1
+    ((c00, c01, c02, c03), (c10, c11, c12, c13),
+     (c20, c21, c22, c23), (c30, c31, c32, c33)) = np.asarray(g_plus, dtype=float).tolist()
+    exp, cos, sin = math.exp, math.cos, math.sin
     mu0, gamma0 = float(mu0), float(gamma0)
     sd = math.sqrt(gamma0)
     nu_lo, nu_hi = mu0 - 10.0 * sd, mu0 + 10.0 * sd
@@ -273,16 +294,14 @@ def _fit_gaussian_cf(g_target, g_plus, lam, mu0, gamma0):
         nu_c = nu_lo if nu < nu_lo else nu_hi if nu > nu_hi else nu
         rho_c = rho_lo if rho < rho_lo else rho_hi if rho > rho_hi else rho
         violation = abs(nu - nu_c) + abs(rho - rho_c)
-        d = []
-        for lv, lv_sq, re_t, im_t in terms:
-            amp = math.exp(-0.5 * rho_c * lv_sq)
-            d += (re_t - amp * math.cos(nu_c * lv), im_t - amp * math.sin(nu_c * lv))
-        q = 0.0
-        for d_j, column in zip(d, columns):
-            v_j = 0.0
-            for term in map(operator.mul, d, column):
-                v_j += term
-            q += v_j * d_j
+        amp = exp(-0.5 * rho_c * s0)
+        d0, d1 = t0 - amp * cos(nu_c * l0), t1 - amp * sin(nu_c * l0)
+        amp = exp(-0.5 * rho_c * s1)
+        d2, d3 = t2 - amp * cos(nu_c * l1), t3 - amp * sin(nu_c * l1)
+        q = 0.0 + ((((0.0 + d0 * c00) + d1 * c10) + d2 * c20) + d3 * c30) * d0
+        q += ((((0.0 + d0 * c01) + d1 * c11) + d2 * c21) + d3 * c31) * d1
+        q += ((((0.0 + d0 * c02) + d1 * c12) + d2 * c22) + d3 * c32) * d2
+        q += ((((0.0 + d0 * c03) + d1 * c13) + d2 * c23) + d3 * c33) * d3
         val = _checked_q(q) + _PENALTY * violation
         if not math.isfinite(val):
             raise NumericalError(f"objective is not finite at ({nu}, {rho})")

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exceptions import DegenerateSeriesError
-from .series import Series
+from .exceptions import DegenerateSeriesError, NumericalError
+from .series import TINY, Series
 from .special import chi_square_sf
 
 MODIFIED = "modified"
@@ -43,6 +43,8 @@ def f_hat_k(y: Series, k: int, tau: int) -> float:
     """Long-run variance estimator for the order-k moment:
 
         2 * sum_{t=1}^{tau} acov(t) * (acov(t) + acov(tau+1-t))^(k-1) + acov(0)^k
+
+    A value that overflows raises NumericalError.
     """
     if k not in (3, 4):
         raise ValueError("k must be 3 or 4")
@@ -51,10 +53,16 @@ def f_hat_k(y: Series, k: int, tau: int) -> float:
     tau = int(tau)
     acov = y.autocovariances(tau).tolist()
     total = 0.0
-    for t in range(1, tau + 1):
-        gt = acov[t]
-        total += gt * (gt + acov[tau + 1 - t]) ** (k - 1)
-    return 2.0 * total + acov[0] ** k
+    try:
+        for t in range(1, tau + 1):
+            gt = acov[t]
+            total += gt * (gt + acov[tau + 1 - t]) ** (k - 1)
+        f = 2.0 * total + acov[0] ** k
+    except OverflowError:  # float ** raises where * gives inf
+        f = math.inf
+    if not math.isfinite(f):
+        raise NumericalError(f"long-run variance estimator f{k}_hat overflowed")
+    return f
 
 
 @dataclass(frozen=True)
@@ -82,15 +90,23 @@ def _statistic_parts(y: Series, cfg: LvConfig) -> tuple[float, float, float, int
     tau = cfg.tau(n) if cfg.variant == MODIFIED else n - 1
     f3 = f_hat_k(y, 3, tau)
     f4 = f_hat_k(y, 4, tau)
-    if f3 == 0.0 or f4 == 0.0:
-        raise DegenerateSeriesError("long-run variance estimator vanished (constant series?)")
     mu2 = y.centered_moment(2)
+    for k, f in ((3, f3), (4, f4)):
+        if abs(f) < TINY:
+            if mu2 > 0.0:
+                raise DegenerateSeriesError(f"long-run variance estimator f{k}_hat underflowed")
+            raise DegenerateSeriesError("long-run variance estimator vanished (constant series?)")
     mu3 = y.centered_moment(3)
     mu4 = y.centered_moment(4)
-    if cfg.variant == MODIFIED:
-        stat = n * mu3**2 / (6.0 * abs(f3)) + n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * abs(f4))
-    else:
-        stat = n * mu3**2 / (6.0 * f3) + n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
+    try:
+        if cfg.variant == MODIFIED:
+            stat = n * mu3**2 / (6.0 * abs(f3)) + n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * abs(f4))
+        else:
+            stat = n * mu3**2 / (6.0 * f3) + n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
+    except OverflowError:
+        stat = math.inf
+    if not math.isfinite(stat):
+        raise NumericalError("skewness-kurtosis statistic overflowed")
     return stat, f3, f4, tau
 
 

@@ -98,6 +98,14 @@ class RngStream:
         """Uniform integers on {0, ..., high-1}."""
         return self._gen.integers(0, high, size=size)
 
+    def position(self) -> dict:
+        """The stream's current position, for rewind()."""
+        return self._gen.bit_generator.state
+
+    def rewind(self, position: dict) -> None:
+        """Return to a position taken by position(); the draws after it repeat."""
+        self._gen.bit_generator.state = position
+
 
 def sample_beta(a1: float, a2: float, rng: RngStream) -> float:
     """One draw from Beta(a1, a2) via the gamma-ratio construction.
@@ -116,6 +124,30 @@ def sample_beta(a1: float, a2: float, rng: RngStream) -> float:
         g2 = rng.standard_gamma(a2)
         total = g1 + g2
     return float(g1 / total)
+
+
+def sample_betas(a1: float, a2: float, count: int, rng: RngStream) -> list[float]:
+    """The values of `count` sample_beta calls, drawn in one block, leaving the
+    stream where those calls leave it: one generator call draws the uniforms,
+    or the gamma pairs in sample_beta's order (a1, a2, a1, a2, ...); a zero
+    uniform or a zero-sum pair is skipped, as sample_beta redraws it, and the
+    block is topped up."""
+    if a1 <= 0.0 or a2 <= 0.0:
+        raise ValueError("beta parameters must be positive")
+    out: list[float] = []
+    if a2 == 1.0:
+        exponent = 1.0 / a1
+        while len(out) < count:
+            # not rng.randoms, which redraws a zero in place, after the block
+            out += [u ** exponent for u in rng._gen.random(count - len(out)).tolist()
+                    if u != 0.0]
+    else:
+        while len(out) < count:
+            pairs = rng.standard_gamma((a1, a2), (count - len(out), 2))
+            g1, total = pairs[:, 0], pairs[:, 0] + pairs[:, 1]
+            kept = total != 0.0
+            out += (g1[kept] / total[kept]).tolist()
+    return out
 
 
 def sample_innovations(family: InnovationFamily, size: int, rng: RngStream) -> np.ndarray:

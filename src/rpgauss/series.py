@@ -6,7 +6,15 @@ statistics are defined in terms of these biased forms.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
+
+from .exceptions import DegenerateSeriesError, NumericalError
+
+# Below the smallest normal float a variance has lost its precision to underflow.
+TINY = sys.float_info.min
 
 
 class Series:
@@ -45,9 +53,13 @@ class Series:
         return self._x.size
 
     def mean(self) -> float:
-        """Sample mean (divisor n)."""
+        """Sample mean (divisor n); NumericalError when the sum overflows."""
         if self._mean is None:
-            self._mean = float(np.mean(self._x))
+            with np.errstate(over="ignore"):
+                mean = float(np.mean(self._x))
+            if not math.isfinite(mean):
+                raise NumericalError("sample mean overflowed")
+            self._mean = mean
         return self._mean
 
     def _deviations(self) -> np.ndarray:
@@ -57,21 +69,34 @@ class Series:
         return self._dev
 
     def centered_moment(self, k: int) -> float:
-        """Sample centered moment of order k >= 2: n^-1 sum (x_i - mean)^k."""
+        """Sample centered moment of order k >= 2: n^-1 sum (x_i - mean)^k.
+
+        A moment that overflows raises NumericalError; a variance (k = 2) below
+        the smallest normal float from deviations that are not all zero has
+        underflowed and raises DegenerateSeriesError.
+        """
         if int(k) != k or k < 2:
             raise ValueError(f"centered moment order must be an integer >= 2, got {k!r}")
         k = int(k)
         if k not in self._moments:
             # products of the deviations: numpy's ** has no fast path beyond
             # the square, and calls pow() per element
-            dev = self._deviations()
-            square = dev * dev
-            power = square
-            for _ in range(k // 2 - 1):
-                power = power * square
-            if k % 2:
-                power = power * dev
-            self._moments[k] = float(np.sum(power) / self.n)
+            with np.errstate(over="ignore"):
+                dev = self._deviations()
+                square = dev * dev
+                power = square
+                for _ in range(k // 2 - 1):
+                    power = power * square
+                if k % 2:
+                    power = power * dev
+                moment = float(np.sum(power) / self.n)
+            name = "sample variance" if k == 2 else f"sample centered moment of order {k}"
+            if not math.isfinite(moment):
+                raise NumericalError(f"{name} overflowed")
+            if k == 2 and moment < TINY and np.any(dev):
+                raise DegenerateSeriesError(
+                    f"{name} underflowed ({moment!r}): the values are too small to square")
+            self._moments[k] = moment
         return self._moments[k]
 
     def _lagged_product(self, lag: int) -> float:

@@ -52,15 +52,23 @@ class Ar1Process:
             raise ValueError(f"past + n must be at most {MAX_N}, got {self.past + self.n}")
 
 
+_AR1_BLOCK = 1 << 16  # values per Python-float block of the AR(1) recursion
+
+
 def simulate_ar1(proc: Ar1Process, rng: RngStream) -> Series:
-    """Generate past + n values by the recursion and return the last n."""
+    """Generate past + n values by the recursion and return the last n.
+
+    The recursion runs on Python floats, one block of at most 2**16 values at
+    a time, written back over the innovations in place; the floating-point
+    operations are those of x[t] = q * x[t - 1] + eps[t] on the array.
+    """
     total = proc.past + proc.n
-    eps = sample_innovations(proc.innovation, total, rng)
-    x = np.empty(total)
-    x[0] = eps[0]
+    x = sample_innovations(proc.innovation, total, rng)
     q = proc.q
-    for t in range(1, total):
-        x[t] = q * x[t - 1] + eps[t]
+    prev = x[0].item()  # X_1 = e_1
+    for start in range(1, total, _AR1_BLOCK):
+        block = [prev := q * prev + e for e in x[start:start + _AR1_BLOCK].tolist()]
+        x[start:start + len(block)] = block
     return Series(x[proc.past:])
 
 

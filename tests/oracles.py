@@ -6,10 +6,12 @@ paths, so each oracle stays an independent route to the same quantity.
 """
 
 import math
+import operator
 
 import numpy as np
 
 from rpgauss.exceptions import NumericalError
+from rpgauss.rng import sample_beta
 
 
 # -- standard normal -----------------------------------------------------------
@@ -266,6 +268,146 @@ def reference_fit_gaussian_cf(g_target, g_plus, lam_values, mu0, gamma0, trace=N
     nu = min(max(float(point[0]), nu_lo), nu_hi)
     rho = min(max(float(point[1]), rho_lo), rho_hi)
     return nu, rho, _q_form_numpy(g_target, _gaussian_cf_numpy(nu, rho, lam_values), g_plus)
+
+
+def _checked_q_scalar(q):
+    if not math.isfinite(q):
+        raise NumericalError("quadratic form is not finite")
+    if q < -1e-12:
+        raise NumericalError(f"quadratic form is negative beyond tolerance: {q}")
+    return max(q, 0.0)
+
+
+def scalar_nelder_mead(fn, start, offsets, max_iter=500, rel_spread=1e-10, iterations=None):
+    """Downhill simplex on Python float tuples held in lists, sorted each
+    iteration with sorted(); the package's search before its vertices moved
+    into locals. When `iterations` is a list, the number of iterations run
+    (max_iter when the spread test never fired) is appended to it."""
+    x0, y0 = start
+    ox, oy = offsets
+    pts = [(x0, y0), (x0 + ox, y0), (x0, y0 + oy)]
+    vals = [fn(x, y) for x, y in pts]
+    scale_x, scale_y = abs(ox), abs(oy)
+
+    done = max_iter
+    for it in range(max_iter):
+        order = sorted(range(3), key=vals.__getitem__)
+        pts = [pts[i] for i in order]
+        vals = [vals[i] for i in order]
+        (bx, by), (px, py), (wx, wy) = pts
+        spread = max((max(bx, px, wx) - min(bx, px, wx)) / (abs(bx) + scale_x),
+                     (max(by, py, wy) - min(by, py, wy)) / (abs(by) + scale_y))
+        if spread < rel_spread:
+            done = it
+            break
+
+        cx, cy = (bx + px) / 2.0, (by + py) / 2.0
+        rx, ry = cx + (cx - wx), cy + (cy - wy)
+        f_r = fn(rx, ry)
+        if vals[0] <= f_r < vals[1]:
+            pts[2], vals[2] = (rx, ry), f_r
+        elif f_r < vals[0]:
+            ex, ey = cx + 2.0 * (cx - wx), cy + 2.0 * (cy - wy)
+            f_e = fn(ex, ey)
+            if f_e < f_r:
+                pts[2], vals[2] = (ex, ey), f_e
+            else:
+                pts[2], vals[2] = (rx, ry), f_r
+        else:
+            if f_r < vals[2]:
+                kx, ky = cx + 0.5 * (rx - cx), cy + 0.5 * (ry - cy)
+                f_c = fn(kx, ky)
+                if f_c <= f_r:
+                    pts[2], vals[2] = (kx, ky), f_c
+                    continue
+            else:
+                kx, ky = cx - 0.5 * (cx - wx), cy - 0.5 * (cy - wy)
+                f_c = fn(kx, ky)
+                if f_c < vals[2]:
+                    pts[2], vals[2] = (kx, ky), f_c
+                    continue
+            # shrink toward the best vertex
+            for i in (1, 2):
+                ix, iy = pts[i]
+                pts[i] = (bx + 0.5 * (ix - bx), by + 0.5 * (iy - by))
+                vals[i] = fn(*pts[i])
+
+    if iterations is not None:
+        iterations.append(done)
+    i_best = min(range(3), key=vals.__getitem__)
+    return pts[i_best], vals[i_best]
+
+
+def reference_scalar_fit(g_target, g_plus, lam_values, mu0, gamma0, iterations=None):
+    """The Gaussian-CF fit on Python floats for any number N of frequencies:
+    per-frequency terms, column-wise sums of d * G+ and the list-based
+    simplex. Returns (nu, rho, q_min); `iterations` collects each simplex
+    run's iteration count (see scalar_nelder_mead)."""
+    target = np.asarray(g_target, dtype=float)
+    lam_values = np.asarray(lam_values, dtype=float)
+    terms = [(lv, lv * lv, re_t, im_t) for lv, re_t, im_t
+             in zip(lam_values.tolist(), target[0::2].tolist(), target[1::2].tolist())]
+    columns = np.asarray(g_plus, dtype=float).T.tolist()
+    mu0, gamma0 = float(mu0), float(gamma0)
+    sd = math.sqrt(gamma0)
+    nu_lo, nu_hi = mu0 - 10.0 * sd, mu0 + 10.0 * sd
+    rho_lo, rho_hi = gamma0 / 100.0, 100.0 * gamma0
+
+    def objective(nu, rho):
+        nu_c = nu_lo if nu < nu_lo else nu_hi if nu > nu_hi else nu
+        rho_c = rho_lo if rho < rho_lo else rho_hi if rho > rho_hi else rho
+        violation = abs(nu - nu_c) + abs(rho - rho_c)
+        d = []
+        for lv, lv_sq, re_t, im_t in terms:
+            amp = math.exp(-0.5 * rho_c * lv_sq)
+            d += (re_t - amp * math.cos(nu_c * lv), im_t - amp * math.sin(nu_c * lv))
+        q = 0.0
+        for d_j, column in zip(d, columns):
+            v_j = 0.0
+            for term in map(operator.mul, d, column):
+                v_j += term
+            q += v_j * d_j
+        val = _checked_q_scalar(q) + 1e6 * violation
+        if not math.isfinite(val):
+            raise NumericalError(f"objective is not finite at ({nu}, {rho})")
+        return val
+
+    offsets = (0.1 * sd, 0.1 * gamma0)
+    first, f_first = scalar_nelder_mead(objective, (mu0, gamma0), offsets,
+                                        iterations=iterations)
+    second, f_second = scalar_nelder_mead(objective, first, offsets, iterations=iterations)
+    point = second if f_second <= f_first else first
+    nu = min(max(point[0], nu_lo), nu_hi)
+    rho = min(max(point[1], rho_lo), rho_hi)
+    return nu, rho, _q_form_numpy(g_target, _gaussian_cf_numpy(nu, rho, lam_values), g_plus)
+
+
+# -- AR(1) recursion and stick breaking ---------------------------------------------
+
+def reference_ar1(eps, q, past):
+    """X_1 = e_1, X_t = q X_{t-1} + e_t on an indexed numpy array; the last
+    len(eps) - past values."""
+    total = eps.size
+    x = np.empty(total)
+    x[0] = eps[0]
+    for t in range(1, total):
+        x[t] = q * x[t - 1] + eps[t]
+    return x[past:]
+
+
+def reference_stick_breaking(alpha1, alpha2, n_cap, delta, rng):
+    """One sample_beta call per stick until the sticks reach 1 - delta or
+    n_cap of them are drawn."""
+    sticks = []
+    total = 0.0
+    for _ in range(n_cap):
+        frac = sample_beta(alpha1, alpha2, rng)
+        piece = frac * (1.0 - total)
+        sticks.append(piece)
+        total += piece
+        if total >= 1.0 - delta:
+            break
+    return np.asarray(sticks)
 
 
 # -- long-run variance estimators ------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,36 @@ def test_cmd_test_multi_column_file_exits_2(tmp_path, capsys):
 def test_cmd_test_constant_file_exits_2(tmp_path, capsys):
     path = _write_series(tmp_path / "const.txt", [3.0] * 100)
     assert main(["test", "--input", path, "--test", "G"]) == 2
+
+
+@pytest.mark.parametrize("scale, kinds, code, message", [
+    # f_hat_k's float ** overflowed into an OverflowError traceback
+    (1e40, ("G", "GE", "RP"), 3, "long-run variance estimator f4_hat overflowed"),
+    (1e150, ("G", "RP"), 3, "long-run variance estimator f3_hat overflowed"),
+    # the variance overflowed to inf: RuntimeWarnings, then misleading messages
+    (1e170, ("E", "G", "GE", "RP"), 3, "sample variance overflowed"),
+    # the squares underflowed: "constant input", or a subnormal variance used
+    (1e-155, ("E", "G", "RP"), 2, "sample variance underflowed"),
+    (1e-170, ("E", "G", "GE", "RP"), 2, "sample variance underflowed"),
+    # "long-run variance estimator vanished (constant series?)"
+    (1e-60, ("G", "RP"), 2, "long-run variance estimator f3_hat underflowed"),
+])
+def test_cmd_test_extreme_scales_fail_by_name(tmp_path, capsys, scale, kinds, code, message):
+    path = _write_series(tmp_path / "scaled.txt", RngStream(1).standard_normal(200) * scale)
+    for kind in kinds:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            assert main(["test", "--input", path, "--test", kind]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err, (kind, captured.err)
+
+
+def test_cmd_test_large_scale_still_runs_the_cf_test(tmp_path, capsys):
+    # the CF test is scale-free and has no fourth powers: E still runs at 1e150
+    path = _write_series(tmp_path / "scaled.txt", RngStream(1).standard_normal(200) * 1e150)
+    assert main(["test", "--input", path, "--test", "E"]) == 0
+    assert 0.0 <= json.loads(capsys.readouterr().out)["result"]["p_value"] <= 1.0
 
 
 def test_cmd_test_missing_file_exits_2(tmp_path, capsys):

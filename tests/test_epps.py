@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ from rpgauss.special import chi_square_sf
 from rpgauss import epps
 from rpgauss.projection import StickBreakingParams, draw_projection_vector, project_series
 
-from oracles import ks_distance, reference_fit_gaussian_cf, spectral_brute
+from oracles import (ks_distance, reference_fit_gaussian_cf, reference_scalar_fit,
+                     scalar_nelder_mead, spectral_brute)
 
 
 def _lam(values, mode="fixed"):
@@ -49,6 +51,13 @@ def test_lambda_type_guards():
         _lam([1.0, -2.0])
     with pytest.raises(ValueError):
         Lambda(values=np.array([1.0, 2.0]), mode="other")
+
+
+def test_lambda_takes_exactly_two_frequencies():
+    for values in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], []):
+        with pytest.raises(ValueError, match="exactly two"):
+            _lam(values)
+    assert _lam([1.0, 2.0]).count == 2
 
 
 # -- characteristic-function vectors ----------------------------------------------
@@ -265,8 +274,13 @@ def test_fit_rejects_dimension_mismatch():
         _fit_gaussian_cf(np.zeros(4), np.eye(3), lam, 0.0, 1.0)
 
 
+@functools.cache
 def _projected_fit_cases():
     # AR(1) q=0.5 paths projected on both Beta plans, random frequencies
+    return tuple(_draw_projected_fit_cases())
+
+
+def _draw_projected_fit_cases():
     rng = RngStream(74)
     stream_id = 0
     for family in (InnovationFamily.STD_NORMAL, InnovationFamily.STD_LOGNORMAL,
@@ -315,6 +329,82 @@ def test_fit_matches_numpy_reference(monkeypatch):
         ref_evals.append(len(ref_points))
     assert len(mine_evals) >= 200
     assert abs(float(np.median(mine_evals)) - float(np.median(ref_evals))) <= 5
+
+
+# (shift of mu0 in standard deviations, factor on gamma0): the data's own
+# start, then starts that put the optimum outside the box, so that nu or rho
+# ends clamped; with gamma0 / 1000 some first simplex runs stop at _MAX_ITER
+_FIT_STARTS = ((0.0, 1.0), (0.0, 1e-3), (0.0, 1e3), (-20.0, 1e-3), (20.0, 1e3))
+
+
+def test_fit_matches_scalar_reference_bit_for_bit():
+    # the straight-line two-frequency objective and the simplex on locals do
+    # the same float operations as the general-N objective and the list-based
+    # simplex they replaced
+    fits = clamped = stopped_at_max_iter = 0
+    for n, (g_target, g_plus, lam, mu0, gamma0) in _projected_fit_cases():
+        sd = math.sqrt(gamma0)
+        for shift, factor in _FIT_STARTS:
+            start_mu, start_gamma = mu0 + shift * sd, gamma0 * factor
+            iterations = []
+            expected = reference_scalar_fit(g_target, g_plus, lam.values, start_mu, start_gamma,
+                                            iterations=iterations)
+            nu, rho, q = _fit_gaussian_cf(g_target, g_plus, lam, start_mu, start_gamma)
+            assert (nu, rho, q) == expected
+            fits += 1
+            box_sd = math.sqrt(start_gamma)
+            clamped += (nu in (start_mu - 10.0 * box_sd, start_mu + 10.0 * box_sd)
+                        or rho in (start_gamma / 100.0, 100.0 * start_gamma))
+            stopped_at_max_iter += iterations[0] == epps._MAX_ITER
+    assert fits >= 1000
+    assert clamped >= 20 and stopped_at_max_iter >= 5, (clamped, stopped_at_max_iter)
+
+
+def _captured_objective(monkeypatch, case):
+    objectives = []
+    search = epps._nelder_mead
+
+    def capture(fn, start, offsets):
+        objectives.append(fn)
+        return search(fn, start, offsets)
+
+    monkeypatch.setattr(epps, "_nelder_mead", capture)
+    _fit_gaussian_cf(*case)
+    monkeypatch.undo()
+    return objectives[0]
+
+
+def test_nelder_mead_matches_scalar_reference_at_every_iteration_cap(monkeypatch):
+    # a run cut short by max_iter returns the first vertex with the smallest
+    # value from an unsorted simplex; cut after every step of the search
+    _, case = _projected_fit_cases()[0]
+    objective = _captured_objective(monkeypatch, case)
+    _, _, _, mu0, gamma0 = case
+    start, offsets = (mu0, gamma0), (0.1 * math.sqrt(gamma0), 0.1 * gamma0)
+    for max_iter in range(0, 120):
+        mine, ref = [], []
+        got = epps._nelder_mead(lambda x, y: mine.append((x, y)) or objective(x, y),
+                                start, offsets, max_iter=max_iter)
+        assert got == scalar_nelder_mead(lambda x, y: ref.append((x, y)) or objective(x, y),
+                                         start, offsets, max_iter=max_iter)
+        assert mine == ref
+
+
+def test_nelder_mead_breaks_ties_like_a_stable_sort():
+    # an objective with many equal values: the vertex order, and with it every
+    # step, follows the stable sort of the reference
+    def stepped(x, y):
+        return float(math.floor(2.0 * (x * x + (y - 0.3) ** 2)))
+
+    for start in ((0.0, 0.0), (1.0, -1.0), (0.25, 0.25), (-2.0, 3.0)):
+        for offsets in ((0.1, 0.1), (1.0, 0.5), (0.5, 1.0)):
+            for max_iter in (3, 10, 500):
+                mine, ref = [], []
+                got = epps._nelder_mead(lambda x, y: mine.append((x, y)) or stepped(x, y),
+                                        start, offsets, max_iter=max_iter)
+                expected = scalar_nelder_mead(lambda x, y: ref.append((x, y)) or stepped(x, y),
+                                              start, offsets, max_iter=max_iter)
+                assert got == expected and mine == ref
 
 
 def _projected_n2000():

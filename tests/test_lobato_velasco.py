@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rpgauss as rg
-from rpgauss import DegenerateSeriesError, LvConfig, RngStream, Series, lv_test
+from rpgauss import DegenerateSeriesError, LvConfig, NumericalError, RngStream, Series, lv_test
 from rpgauss.lobato_velasco import f_hat_k
 from rpgauss.simulation import simulate_ar1
 from rpgauss.special import chi_square_sf
@@ -160,3 +160,22 @@ def test_null_p_values_uniform():
         ps.append(lv_test(simulate_ar1(proc, stream)).p_value)
     ks = ks_distance(ps, lambda u: min(max(u, 0.0), 1.0))
     assert ks < 1.6276 / math.sqrt(500)
+
+
+def test_overflow_and_underflow_are_named():
+    z = RngStream(41).standard_normal(200)
+    # acov(0)**4 overflows: float ** raised an OverflowError here
+    with pytest.raises(NumericalError, match="f4_hat overflowed"):
+        f_hat_k(Series(z * 1e40), 4, 14)
+    for variant in ("modified", "original"):
+        with pytest.raises(NumericalError, match="f4_hat overflowed"):
+            lv_test(Series(z * 1e40), LvConfig(variant=variant))
+        with pytest.raises(DegenerateSeriesError, match="f3_hat underflowed"):
+            lv_test(Series(z * 1e-60), LvConfig(variant=variant))
+    with pytest.raises(DegenerateSeriesError, match="vanished"):
+        lv_test(Series([2.0] * 20))
+    # one outlier: f3 and f4 stay finite, (mu4 - 3 mu2^2)^2 does not
+    spike = RngStream(42).standard_normal(10_000)
+    spike[5000] = 1e40
+    with pytest.raises(NumericalError, match="skewness-kurtosis statistic overflowed"):
+        lv_test(Series(spike))

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reference_stick_breaking
 from rpgauss import RngStream, Series
+from rpgauss import projection
 from rpgauss.projection import (StickBreakingParams, build_projection_vector,
                                 draw_projection_vector, project_series, stick_breaking)
 
@@ -15,6 +17,26 @@ def test_params_validation():
         StickBreakingParams(1.0, 1.0, n_cap=10, delta=0.0)
     with pytest.raises(ValueError):
         StickBreakingParams(1.0, 1.0, n_cap=0)
+
+
+def test_stick_breaking_matches_per_stick_draws():
+    # block draws give the sticks of one sample_beta call per stick and leave
+    # the stream at the same place: the next draw is equal
+    past_first_block = 0
+    for alpha1, alpha2 in ((100.0, 1.0), (2.0, 7.0), (0.5, 0.5), (1.0, 1.0)):
+        singles = projection._UNIFORM_SINGLES if alpha2 == 1.0 else 0
+        for n_cap in (1, 5, 100, 130, 10_000):
+            for delta in (1e-300, 1e-15, 0.5, 1.0 - 1e-12):
+                for seed in range(4):
+                    mine, ref = RngStream(seed, n_cap), RngStream(seed, n_cap)
+                    params = StickBreakingParams(alpha1, alpha2, n_cap=n_cap, delta=delta)
+                    sticks = stick_breaking(params, mine)
+                    expected = reference_stick_breaking(alpha1, alpha2, n_cap, delta, ref)
+                    where = (alpha1, alpha2, n_cap, delta, seed)
+                    assert np.array_equal(sticks, expected), where
+                    assert mine.random() == ref.random(), where
+                    past_first_block += sticks.size > singles + projection._FIRST_BLOCK
+    assert past_first_block >= 50
 
 
 def test_degenerate_delta_gives_single_stick():

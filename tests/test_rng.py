@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rpgauss import InnovationFamily, RngStream
-from rpgauss.rng import sample_abs_normal, sample_beta, sample_innovations
+from rpgauss.rng import sample_abs_normal, sample_beta, sample_betas, sample_innovations
 
 from oracles import ks_distance
 
@@ -101,3 +101,95 @@ def test_abs_normal_nonnegative_and_mean():
 def test_abs_normal_domain():
     with pytest.raises(ValueError):
         sample_abs_normal(0.0, RngStream(1))
+
+
+_BETA_PAIRS = ((100.0, 1.0), (2.0, 7.0), (0.5, 0.5), (1.0, 1.0))
+
+
+def test_sample_betas_are_the_sample_beta_draws():
+    # the same values as count calls of sample_beta, and the stream left at
+    # the same place (equal next draw)
+    for a1, a2 in _BETA_PAIRS:
+        for count in (0, 1, 2, 17, 300):
+            for seed in range(5):
+                block, single = RngStream(seed, 8), RngStream(seed, 8)
+                got = sample_betas(a1, a2, count, block)
+                assert got == [sample_beta(a1, a2, single) for _ in range(count)]
+                assert block.random() == single.random()
+
+
+def test_sample_betas_skip_zero_gamma_sums_like_sample_beta():
+    # gamma draws of shape 1e-3 underflow to 0.0 about half the time, so many
+    # pairs sum to zero and are redrawn
+    block, single = RngStream(19), RngStream(19)
+    got = sample_betas(1e-3, 1e-3, 200, block)
+    assert got == [sample_beta(1e-3, 1e-3, single) for _ in range(200)]
+    assert block.random() == single.random()
+
+
+class _ScriptedGenerator:
+    """Stands in for the numpy generator: serves a fixed script of raw
+    uniforms and gamma draws, checking the shape asked for each gamma."""
+
+    def __init__(self, uniforms, gammas):
+        self.uniforms = list(uniforms)
+        self.gammas = list(gammas)  # (shape, value) pairs
+
+    def random(self, size=None):
+        if size is None:
+            return self.uniforms.pop(0)
+        return np.array([self.uniforms.pop(0) for _ in range(size)])
+
+    def _gamma(self, shape):
+        expected_shape, value = self.gammas.pop(0)
+        assert shape == expected_shape
+        return value
+
+    def standard_gamma(self, shape, size=None):
+        if size is None:
+            return self._gamma(shape)
+        shapes = np.broadcast_to(np.asarray(shape, dtype=float), size)
+        return np.array([self._gamma(float(s)) for s in shapes.ravel()]).reshape(size)
+
+
+def _scripted(monkeypatch, uniforms=(), gammas=()):
+    rng = RngStream(0)
+    monkeypatch.setattr(rng, "_gen", _ScriptedGenerator(uniforms, gammas))
+    return rng
+
+
+def test_sample_betas_redraw_rule_matches_sample_beta(monkeypatch):
+    uniforms = [0.25, 0.0, 0.5, 0.0, 0.0, 0.75, 0.125, 0.0, 0.375, 0.625]
+    gammas = [(2.0, 1.0), (7.0, 3.0), (2.0, 0.0), (7.0, 0.0), (2.0, 0.5), (7.0, 0.5),
+              (2.0, 0.0), (7.0, 0.0), (2.0, 0.0), (7.0, 0.0), (2.0, 4.0), (7.0, 1.0),
+              (2.0, 2.0), (7.0, 6.0)]
+    for count in range(1, 5):
+        block = _scripted(monkeypatch, uniforms)
+        single = _scripted(monkeypatch, uniforms)
+        got = sample_betas(4.0, 1.0, count, block)
+        assert got == [sample_beta(4.0, 1.0, single) for _ in range(count)]
+        assert block._gen.uniforms == single._gen.uniforms
+        assert 0.0 not in got
+        block = _scripted(monkeypatch, gammas=gammas)
+        single = _scripted(monkeypatch, gammas=gammas)
+        got = sample_betas(2.0, 7.0, count, block)
+        assert got == [sample_beta(2.0, 7.0, single) for _ in range(count)]
+        assert block._gen.gammas == single._gen.gammas
+    # the three zero-sum pairs were skipped, two of them in top-up draws
+    assert got == [0.25, 0.5, 0.8, 0.25]
+
+
+def test_sample_betas_domain():
+    with pytest.raises(ValueError):
+        sample_betas(0.0, 1.0, 3, RngStream(1))
+    with pytest.raises(ValueError):
+        sample_betas(2.0, -1.0, 3, RngStream(1))
+
+
+def test_stream_rewind_repeats_the_draws():
+    rng = RngStream(23)
+    rng.random()
+    position = rng.position()
+    first = [rng.random(), float(rng.standard_gamma(2.0)), float(rng.standard_normal())]
+    rng.rewind(position)
+    assert [rng.random(), float(rng.standard_gamma(2.0)), float(rng.standard_normal())] == first

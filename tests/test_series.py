@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpgauss import RngStream, Series
+from rpgauss import DegenerateSeriesError, NumericalError, RngStream, Series
 
 from oracles import autocov_brute, centered_moment_brute
 
@@ -124,3 +124,20 @@ def test_values_are_readonly():
     s = Series([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         s.values[0] = 9.0
+
+
+@pytest.mark.filterwarnings("error")  # named errors, no RuntimeWarning first
+def test_variance_overflow_and_underflow_are_named():
+    for wide in ([1e170, -1e170] * 4, [1.79e308, -1.79e308, -1e308]):
+        with pytest.raises(NumericalError, match="sample variance overflowed"):
+            Series(wide).centered_moment(2)
+    with pytest.raises(NumericalError, match="sample mean overflowed"):
+        Series([1.7e308] * 8).mean()
+    narrow = Series([1e-170, -1e-170] * 4)
+    with pytest.raises(DegenerateSeriesError, match="sample variance underflowed"):
+        narrow.autocovariance(0)
+    with pytest.raises(DegenerateSeriesError, match="sample variance underflowed"):
+        Series([3e-155, -3e-155] * 4).centered_moment(2)  # subnormal, not zero
+    # a constant series has zero deviations: a zero variance, not an underflow
+    assert Series([1e-170] * 8).centered_moment(2) == 0.0
+    assert Series([2.0] * 8).autocovariance(0) == 0.0

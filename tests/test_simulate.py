@@ -13,7 +13,7 @@ from rpgauss.simulation import (WstarProcess, compute_p_value, parse_test_kind, 
                                 simulate_wstar, simulate_wstar_path)
 from rpgauss.special import normal_quantile
 
-from oracles import erf_norm_cdf, ks_critical, ks_distance, ks_two_sample
+from oracles import erf_norm_cdf, ks_critical, ks_distance, ks_two_sample, reference_ar1
 
 
 def test_process_validation():
@@ -45,6 +45,26 @@ def test_ar1_zero_q_reduces_to_innovations():
     sim = simulate_ar1(proc, RngStream(201)).values
     direct = sample_innovations(InnovationFamily.CHI_SQ_1, 10_000, RngStream(202))
     assert ks_two_sample(sim, direct) < 0.03
+
+
+@pytest.mark.parametrize("q", [-0.9, 0.0, 0.5, 0.9])
+@pytest.mark.parametrize("past", [0, 1000])
+def test_ar1_matches_indexed_recursion_bit_for_bit(q, past):
+    # the float recursion in blocks of 2**16 gives the indexed array recursion's
+    # values exactly; the longest paths cross a block boundary
+    families = list(InnovationFamily)
+    cases = [(family, n) for family in families for n in (1, 2, 7, 300)]
+    cases += [(families[i % len(families)], n)
+              for i, n in enumerate((2**16 - past - 1, 2**16 - past, 2**16 - past + 1,
+                                     2**17 + 3)) if n >= 1]
+    for i, (family, n) in enumerate(cases):
+        stream = RngStream(205, i)
+        got = simulate_ar1(Ar1Process(q=q, innovation=family, n=n, past=past), stream)
+        eps = sample_innovations(family, past + n, RngStream(205, i))
+        expected = reference_ar1(eps, q, past)
+        assert got.values.shape == expected.shape
+        assert np.array_equal(got.values, expected), (family, n)
+    assert any(past + n > simulation._AR1_BLOCK + 1 for _, n in cases)
 
 
 def test_ar1_returns_last_n():
