@@ -45,7 +45,6 @@ class StickBreakingParams:
             raise ValueError("n_cap must be a positive integer")
 
 
-_UNIFORM_SINGLES = 10  # Beta(a1, 1) fractions drawn one at a time before the first block
 _FIRST_BLOCK = 16  # fractions in the first block; each next block doubles
 
 
@@ -56,24 +55,26 @@ def stick_breaking(params: StickBreakingParams, rng: RngStream) -> np.ndarray:
     at the first stick whose cumulative sum reaches 1 - delta, or after n_cap
     sticks, whichever comes first.
 
-    The fractions come from sample_betas in blocks of 16, 32, 64, ... When
-    the stopping stick falls inside a block, the stream is rewound to where
-    it was before that block and exactly the fractions used are drawn again,
-    so the stream ends where one sample_beta call per stick leaves it, and the
-    draws that follow on it (the CF test's random frequencies) are unchanged.
-    The first 10 Beta(alpha1, 1) fractions, single uniforms, come one call at
-    a time: cheaper than a block and its rewind for a Beta(100, 1) run.
+    A Beta(alpha1, 1) fraction is a single uniform, drawn by one sample_beta
+    call per stick. Other fractions come from sample_betas in blocks of 16,
+    32, 64, ... When the stopping stick falls inside a block, the stream is
+    rewound to where it was before that block and exactly the fractions used
+    are drawn again, so the stream ends where one sample_beta call per stick
+    leaves it, and the draws that follow on it (the CF test's random
+    frequencies) are unchanged.
     """
     a1, a2, n_cap = params.alpha1, params.alpha2, params.n_cap
     stop = 1.0 - params.delta
     sticks = []
     total = 0.0
-    for _ in range(min(_UNIFORM_SINGLES, n_cap) if a2 == 1.0 else 0):
-        piece = sample_beta(a1, a2, rng) * (1.0 - total)
-        sticks.append(piece)
-        total += piece
-        if total >= stop:
-            return np.asarray(sticks)
+    if a2 == 1.0:
+        for _ in range(n_cap):
+            piece = sample_beta(a1, a2, rng) * (1.0 - total)
+            sticks.append(piece)
+            total += piece
+            if total >= stop:
+                break
+        return np.asarray(sticks)
     block = _FIRST_BLOCK
     while len(sticks) < n_cap:
         count = min(block, n_cap - len(sticks))

@@ -127,26 +127,21 @@ def sample_beta(a1: float, a2: float, rng: RngStream) -> float:
 
 
 def sample_betas(a1: float, a2: float, count: int, rng: RngStream) -> list[float]:
-    """The values of `count` sample_beta calls, drawn in one block, leaving the
-    stream where those calls leave it: one generator call draws the uniforms,
-    or the gamma pairs in sample_beta's order (a1, a2, a1, a2, ...); a zero
-    uniform or a zero-sum pair is skipped, as sample_beta redraws it, and the
-    block is topped up."""
+    """The values of `count` sample_beta calls for a2 != 1, drawn in one
+    block, leaving the stream where those calls leave it: one generator call
+    draws the gamma pairs in sample_beta's order (a1, a2, a1, a2, ...); a
+    zero-sum pair is skipped, as sample_beta redraws it, and the block is
+    topped up. Beta(a1, 1) draws are single uniforms: use sample_beta."""
     if a1 <= 0.0 or a2 <= 0.0:
         raise ValueError("beta parameters must be positive")
-    out: list[float] = []
     if a2 == 1.0:
-        exponent = 1.0 / a1
-        while len(out) < count:
-            # not rng.randoms, which redraws a zero in place, after the block
-            out += [u ** exponent for u in rng._gen.random(count - len(out)).tolist()
-                    if u != 0.0]
-    else:
-        while len(out) < count:
-            pairs = rng.standard_gamma((a1, a2), (count - len(out), 2))
-            g1, total = pairs[:, 0], pairs[:, 0] + pairs[:, 1]
-            kept = total != 0.0
-            out += (g1[kept] / total[kept]).tolist()
+        raise ValueError("Beta(a1, 1) is drawn by sample_beta, not in blocks")
+    out: list[float] = []
+    while len(out) < count:
+        pairs = rng.standard_gamma((a1, a2), (count - len(out), 2))
+        g1, total = pairs[:, 0], pairs[:, 0] + pairs[:, 1]
+        kept = total != 0.0
+        out += (g1[kept] / total[kept]).tolist()
     return out
 
 

@@ -23,8 +23,7 @@ def test_stick_breaking_matches_per_stick_draws():
     # block draws give the sticks of one sample_beta call per stick and leave
     # the stream at the same place: the next draw is equal
     past_first_block = 0
-    for alpha1, alpha2 in ((100.0, 1.0), (2.0, 7.0), (0.5, 0.5), (1.0, 1.0)):
-        singles = projection._UNIFORM_SINGLES if alpha2 == 1.0 else 0
+    for alpha1, alpha2 in ((100.0, 1.0), (2.0, 7.0), (0.5, 0.5), (1.0, 1.0), (1.0, 3.0)):
         for n_cap in (1, 5, 100, 130, 10_000):
             for delta in (1e-300, 1e-15, 0.5, 1.0 - 1e-12):
                 for seed in range(4):
@@ -35,7 +34,7 @@ def test_stick_breaking_matches_per_stick_draws():
                     where = (alpha1, alpha2, n_cap, delta, seed)
                     assert np.array_equal(sticks, expected), where
                     assert mine.random() == ref.random(), where
-                    past_first_block += sticks.size > singles + projection._FIRST_BLOCK
+                    past_first_block += alpha2 != 1.0 and sticks.size > projection._FIRST_BLOCK
     assert past_first_block >= 50
 
 

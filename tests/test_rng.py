@@ -103,7 +103,7 @@ def test_abs_normal_domain():
         sample_abs_normal(0.0, RngStream(1))
 
 
-_BETA_PAIRS = ((100.0, 1.0), (2.0, 7.0), (0.5, 0.5), (1.0, 1.0))
+_BETA_PAIRS = ((2.0, 7.0), (0.5, 0.5), (1.0, 3.0), (100.0, 0.5))
 
 
 def test_sample_betas_are_the_sample_beta_draws():
@@ -128,17 +128,11 @@ def test_sample_betas_skip_zero_gamma_sums_like_sample_beta():
 
 
 class _ScriptedGenerator:
-    """Stands in for the numpy generator: serves a fixed script of raw
-    uniforms and gamma draws, checking the shape asked for each gamma."""
+    """Stands in for the numpy generator: serves a fixed script of gamma
+    draws, checking the shape asked for each one."""
 
-    def __init__(self, uniforms, gammas):
-        self.uniforms = list(uniforms)
+    def __init__(self, gammas):
         self.gammas = list(gammas)  # (shape, value) pairs
-
-    def random(self, size=None):
-        if size is None:
-            return self.uniforms.pop(0)
-        return np.array([self.uniforms.pop(0) for _ in range(size)])
 
     def _gamma(self, shape):
         expected_shape, value = self.gammas.pop(0)
@@ -152,26 +146,19 @@ class _ScriptedGenerator:
         return np.array([self._gamma(float(s)) for s in shapes.ravel()]).reshape(size)
 
 
-def _scripted(monkeypatch, uniforms=(), gammas=()):
+def _scripted(monkeypatch, gammas):
     rng = RngStream(0)
-    monkeypatch.setattr(rng, "_gen", _ScriptedGenerator(uniforms, gammas))
+    monkeypatch.setattr(rng, "_gen", _ScriptedGenerator(gammas))
     return rng
 
 
 def test_sample_betas_redraw_rule_matches_sample_beta(monkeypatch):
-    uniforms = [0.25, 0.0, 0.5, 0.0, 0.0, 0.75, 0.125, 0.0, 0.375, 0.625]
     gammas = [(2.0, 1.0), (7.0, 3.0), (2.0, 0.0), (7.0, 0.0), (2.0, 0.5), (7.0, 0.5),
               (2.0, 0.0), (7.0, 0.0), (2.0, 0.0), (7.0, 0.0), (2.0, 4.0), (7.0, 1.0),
               (2.0, 2.0), (7.0, 6.0)]
     for count in range(1, 5):
-        block = _scripted(monkeypatch, uniforms)
-        single = _scripted(monkeypatch, uniforms)
-        got = sample_betas(4.0, 1.0, count, block)
-        assert got == [sample_beta(4.0, 1.0, single) for _ in range(count)]
-        assert block._gen.uniforms == single._gen.uniforms
-        assert 0.0 not in got
-        block = _scripted(monkeypatch, gammas=gammas)
-        single = _scripted(monkeypatch, gammas=gammas)
+        block = _scripted(monkeypatch, gammas)
+        single = _scripted(monkeypatch, gammas)
         got = sample_betas(2.0, 7.0, count, block)
         assert got == [sample_beta(2.0, 7.0, single) for _ in range(count)]
         assert block._gen.gammas == single._gen.gammas
@@ -184,6 +171,8 @@ def test_sample_betas_domain():
         sample_betas(0.0, 1.0, 3, RngStream(1))
     with pytest.raises(ValueError):
         sample_betas(2.0, -1.0, 3, RngStream(1))
+    with pytest.raises(ValueError):
+        sample_betas(100.0, 1.0, 3, RngStream(1))
 
 
 def test_stream_rewind_repeats_the_draws():
