@@ -25,9 +25,21 @@ RANDOM = "random"
 _XI_FIXED = (1.0, 2.0)
 _XI_SDS = (1.0, 2.0)         # random mode: |N(0,1)| and |N(0,4)|
 _XI_MIN = 1e-6               # redraw guard against degenerate frequencies
-_PENALTY = 1e6
-_MAX_ITER = 500
-_REL_SPREAD = 1e-10
+# The CF fit works in unit scale, u = (nu - mu0)/sd and s = ln(rho/gamma0), on
+# the box nu in mu0 +- 10 sd, rho in [gamma0/100, 100 gamma0]; see _fit_gaussian_cf.
+_U_MAX = 10.0
+_S_MAX = math.log(100.0)
+_GRID_PER_PERIOD = 10          # u points per shortest period 2 pi / xi_max of the model
+_GRID_U = (48, 400)            # least and most u points of the seed grid
+_GRID_S = 25
+_CENTRE_U = (-1.5, 1.5)        # the grid is three times finer over these u and s,
+_CENTRE_S = (-1.5, 0.8)        # where the minimum usually lies
+_SEEDS = 8                     # grid local minima polished, lowest first
+_STEP_CELLS = 2.0              # a Newton step moves at most this many grid cells
+_NEWTON_MAX_ITER = 50
+_NEWTON_HALVINGS = 8
+_NEWTON_TOL = 1e-12            # converged when the predicted decrease is this share of Q
+_TIE = 1e-10                   # end points this close to the lowest Q count as equal
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,7 @@ def gaussian_cf_vector(nu: float, rho: float, lam: Lambda) -> np.ndarray:
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     lv = lam.values
-    amp = np.exp(-0.5 * rho * lv**2)
+    amp = np.exp(-0.5 * (math.sqrt(rho) * lv) ** 2)
     out = np.empty(2 * lv.size)
     out[0::2] = amp * np.cos(nu * lv)
     out[1::2] = amp * np.sin(nu * lv)
@@ -188,140 +200,213 @@ def q_form(g_hat: np.ndarray, g_model: np.ndarray, g_plus: np.ndarray) -> float:
     return _checked_q(q)
 
 
-def _nelder_mead(fn, start, offsets, max_iter=_MAX_ITER, rel_spread=_REL_SPREAD):
-    """Downhill-simplex minimization of fn(x, y) over (x, y) float tuples.
+def _grid_points(half_width: float, count: int, centre: tuple[float, float]):
+    """count uniform points over [-half_width, half_width], three times finer
+    over the interval centre, and the uniform spacing."""
+    coarse = np.linspace(-half_width, half_width, count)
+    step = coarse[1] - coarse[0]
+    fine = np.arange(centre[0], centre[1] + step / 6.0, step / 3.0)
+    return np.concatenate((coarse[coarse < fine[0]], fine, coarse[coarse > fine[-1]])), step
 
-    Stops when every coordinate range of the simplex is below rel_spread
-    relative to |best| + initial offset (a scale that never vanishes), or
-    after max_iter iterations.
 
-    The three vertices live in locals: best (bx, by, fb), middle (px, py, fp)
-    and worst (wx, wy, fw). Each iteration orders them by a stable insertion
-    sort on strict <, so ties keep their previous order.
+_S_POINTS, _S_STEP = _grid_points(_S_MAX, _GRID_S, _CENTRE_S)
+_S_POINTS.flags.writeable = False
+
+
+def _grid_seeds(t, weights, vectors, xi, phi):
+    """Starting points (u, s) for the polish, lowest first, and the uniform
+    grid spacings (hu, hs).
+
+    The seeds are the _SEEDS lowest local minima of Q on the seed grid
+    (_grid_points; a point no higher than its neighbours, the box edges
+    included), the first of them the grid's global minimum. Columns where
+    both model amplitudes are below 1e-18 hold the constant t' G+ t; only
+    the first of them is kept. On the grid Q is expanded in powers of the
+    amplitudes, which is fast but can lose digits to cancellation when G+
+    is ill-conditioned; the values only rank seeds, and the polish
+    evaluates and checks Q as a sum of squares.
     """
-    x0, y0 = start
-    ox, oy = offsets
-    bx, by, px, py, wx, wy = x0, y0, x0 + ox, y0, x0, y0 + oy
-    fb, fp, fw = fn(bx, by), fn(px, py), fn(wx, wy)
-    scale_x, scale_y = abs(ox), abs(oy)
-
-    for _ in range(max_iter):
-        if fp < fb:
-            bx, by, fb, px, py, fp = px, py, fp, bx, by, fb
-        if fw < fp:
-            px, py, fp, wx, wy, fw = wx, wy, fw, px, py, fp
-            if fp < fb:
-                bx, by, fb, px, py, fp = px, py, fp, bx, by, fb
-        # max() and min() of each coordinate, picked as the builtins pick them
-        hi_x = px if px > bx else bx
-        hi_x = wx if wx > hi_x else hi_x
-        lo_x = px if px < bx else bx
-        lo_x = wx if wx < lo_x else lo_x
-        hi_y = py if py > by else by
-        hi_y = wy if wy > hi_y else hi_y
-        lo_y = py if py < by else by
-        lo_y = wy if wy < lo_y else lo_y
-        spread_x = (hi_x - lo_x) / (abs(bx) + scale_x)
-        spread_y = (hi_y - lo_y) / (abs(by) + scale_y)
-        if (spread_y if spread_y > spread_x else spread_x) < rel_spread:
-            break
-
-        cx, cy = (bx + px) / 2.0, (by + py) / 2.0
-        rx, ry = cx + (cx - wx), cy + (cy - wy)
-        f_r = fn(rx, ry)
-        if fb <= f_r < fp:
-            wx, wy, fw = rx, ry, f_r
-        elif f_r < fb:
-            ex, ey = cx + 2.0 * (cx - wx), cy + 2.0 * (cy - wy)
-            f_e = fn(ex, ey)
-            if f_e < f_r:
-                wx, wy, fw = ex, ey, f_e
-            else:
-                wx, wy, fw = rx, ry, f_r
-        else:
-            if f_r < fw:
-                kx, ky = cx + 0.5 * (rx - cx), cy + 0.5 * (ry - cy)
-                f_c = fn(kx, ky)
-                if f_c <= f_r:
-                    wx, wy, fw = kx, ky, f_c
-                    continue
-            else:
-                kx, ky = cx - 0.5 * (cx - wx), cy - 0.5 * (cy - wy)
-                f_c = fn(kx, ky)
-                if f_c < fw:
-                    wx, wy, fw = kx, ky, f_c
-                    continue
-            # shrink toward the best vertex
-            px, py = bx + 0.5 * (px - bx), by + 0.5 * (py - by)
-            fp = fn(px, py)
-            wx, wy = bx + 0.5 * (wx - bx), by + 0.5 * (wy - by)
-            fw = fn(wx, wy)
-
-    # the first vertex holding the smallest value
-    if fp < fb:
-        bx, by, fb = px, py, fp
-    if fw < fb:
-        bx, by, fb = wx, wy, fw
-    return (bx, by), fb
+    n_u = int(_GRID_PER_PERIOD * _U_MAX * max(xi) / math.pi) + 1
+    us, hu = _grid_points(_U_MAX, min(max(n_u, _GRID_U[0]), _GRID_U[1]), _CENTRE_U)
+    n_s = int(np.searchsorted(_S_POINTS, math.log(83.0 / min(xi) ** 2))) + 1
+    ss = _S_POINTS[:n_s]
+    r = np.exp(ss)
+    n_u, n_s = us.size, ss.size
+    # e_k' d = tau_k - a_k(u) amp0(s) - b_k(u) amp1(s), with a_k and b_k the
+    # projections of the (cos, sin) pairs on e_k, so sum_k w_k (e_k' d)^2 is
+    # (n_u, 5) coefficients times (5, n_s) amplitude products, plus a constant
+    theta = np.multiply.outer(us, xi) + phi
+    a = vectors[:2].T @ np.array([np.cos(theta[:, 0]), np.sin(theta[:, 0])])
+    b = vectors[2:].T @ np.array([np.cos(theta[:, 1]), np.sin(theta[:, 1])])
+    tau = t @ vectors
+    wt = weights * tau
+    amp0 = np.exp((-0.5 * xi[0] * xi[0]) * r)
+    amp1 = np.exp((-0.5 * xi[1] * xi[1]) * r)
+    with np.errstate(invalid="ignore", over="ignore"):
+        coef = np.array([weights @ (a * a), weights @ (b * b), 2.0 * (weights @ (a * b)),
+                         -2.0 * (wt @ a), -2.0 * (wt @ b)])
+        q = coef.T @ np.array([amp0 * amp0, amp1 * amp1, amp0 * amp1, amp0, amp1])
+        q += wt @ tau
+    # a local minimum is no higher than any of its (up to eight) neighbours
+    low = np.ones(q.shape, dtype=bool)
+    for here, there in (((slice(None, -1), slice(None)), (slice(1, None), slice(None))),
+                        ((slice(None), slice(None, -1)), (slice(None), slice(1, None))),
+                        ((slice(None, -1), slice(None, -1)), (slice(1, None), slice(1, None))),
+                        ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1)))):
+        low[here] &= q[here] <= q[there]
+        low[there] &= q[there] <= q[here]
+    # the lowest of them is the grid's global minimum
+    rows, cols = np.nonzero(low)
+    seeds = sorted(zip(q[rows, cols].tolist(), rows.tolist(), cols.tolist()))[:_SEEDS]
+    return [(float(us[i]), float(ss[j])) for _, i, j in seeds], hu, _S_STEP
 
 
 def _fit_gaussian_cf(g_target, g_plus, lam, mu0, gamma0):
-    """Minimize the studentized distance between g_target and the Gaussian CF
-    over (nu, rho), starting at (mu0, gamma0) with one restart.
+    """Minimize the studentized distance Q between g_target and the Gaussian
+    CF over the box nu in mu0 +- 10 sd, rho in [gamma0/100, 100 gamma0].
 
-    The search runs on Python floats: the objective is the quadratic form of
-    q_form with the Gaussian CF of gaussian_cf_vector at the two frequencies,
-    written out in scalar arithmetic, because numpy's per-call overhead
-    dominates at this size. Each v_j = (d @ G+)_j is summed over i in order,
-    then q = sum_j v_j d_j, every sum starting from 0.0, in the summation
-    order of d @ g_plus @ d.
+    The fit works in unit scale, u = (nu - mu0)/sd in [-10, 10] and
+    s = ln(rho/gamma0) in [-ln 100, ln 100]. There the model at lambda_j is
+    exp(-e^s xi_j^2 / 2) (cos, sin)(phi_j + u xi_j), with xi_j = lambda_j sd
+    and phi_j = lambda_j mu0, so no lambda is squared. Q is
+    sum_k w_k (e_k' d)^2 over the eigenpairs of G+, a sum of squares that
+    keeps its relative precision when G+ is ill-conditioned.
+
+    A grid over the box gives the seeds (_grid_seeds). A damped Newton step
+    with the closed-form gradient and Hessian (the Gauss-Newton matrix
+    J' G+ J where the Hessian is not positive definite) polishes each, lowest
+    first; a seed whose first step predicts no end below the best so far is
+    dropped. Returns (nu, rho, q_min) in data units.
     """
     target = np.asarray(g_target, dtype=float)
     if target.shape != (2 * lam.count,) or np.shape(g_plus) != (target.size, target.size):
         raise ValueError("dimension mismatch between vectors and matrix")
-    (l0, l1), (t0, t1, t2, t3) = lam.values.tolist(), target.tolist()
-    s0, s1 = l0 * l0, l1 * l1
-    ((c00, c01, c02, c03), (c10, c11, c12, c13),
-     (c20, c21, c22, c23), (c30, c31, c32, c33)) = np.asarray(g_plus, dtype=float).tolist()
-    exp, cos, sin = math.exp, math.cos, math.sin
+    g_plus = np.asarray(g_plus, dtype=float)
+    if not np.all(np.isfinite(g_plus)):
+        raise NumericalError("pseudo-inverted spectral matrix is not finite")
+    weights, vectors = np.linalg.eigh(g_plus)
     mu0, gamma0 = float(mu0), float(gamma0)
     sd = math.sqrt(gamma0)
-    nu_lo, nu_hi = mu0 - 10.0 * sd, mu0 + 10.0 * sd
-    rho_lo, rho_hi = gamma0 / 100.0, 100.0 * gamma0
+    x0, x1 = (v * sd for v in lam.values.tolist())
+    p0, p1 = (v * mu0 for v in lam.values.tolist())
+    t0, t1, t2, t3 = target.tolist()
+    w0, w1, w2, w3 = weights.tolist()
+    ((e00, e01, e02, e03), (e10, e11, e12, e13),
+     (e20, e21, e22, e23), (e30, e31, e32, e33)) = vectors.tolist()
+    h0, h1 = -0.5 * x0 * x0, -0.5 * x1 * x1
+    exp, cos, sin = math.exp, math.cos, math.sin
 
-    def objective(nu, rho):
-        # the box clamp min(max(v, lo), hi), spelled out for speed
-        nu_c = nu_lo if nu < nu_lo else nu_hi if nu > nu_hi else nu
-        rho_c = rho_lo if rho < rho_lo else rho_hi if rho > rho_hi else rho
-        violation = abs(nu - nu_c) + abs(rho - rho_c)
-        amp = exp(-0.5 * rho_c * s0)
-        d0, d1 = t0 - amp * cos(nu_c * l0), t1 - amp * sin(nu_c * l0)
-        amp = exp(-0.5 * rho_c * s1)
-        d2, d3 = t2 - amp * cos(nu_c * l1), t3 - amp * sin(nu_c * l1)
-        q = 0.0 + ((((0.0 + d0 * c00) + d1 * c10) + d2 * c20) + d3 * c30) * d0
-        q += ((((0.0 + d0 * c01) + d1 * c11) + d2 * c21) + d3 * c31) * d1
-        q += ((((0.0 + d0 * c02) + d1 * c12) + d2 * c22) + d3 * c32) * d2
-        q += ((((0.0 + d0 * c03) + d1 * c13) + d2 * c23) + d3 * c33) * d3
-        val = _checked_q(q) + _PENALTY * violation
-        if not math.isfinite(val):
-            raise NumericalError(f"objective is not finite at ({nu}, {rho})")
-        return val
+    def terms(u, s):
+        # Q, half its gradient, half its Hessian and half the Gauss-Newton
+        # matrix at (u, s). The model's u-derivative is xi times the model
+        # turned by 90 degrees; its s-derivative is k = h e^s times the model.
+        k0, k1 = h0 * exp(s), h1 * exp(s)
+        a0, a1 = exp(k0), exp(k1)
+        m0, m1 = a0 * cos(p0 + u * x0), a0 * sin(p0 + u * x0)
+        m2, m3 = a1 * cos(p1 + u * x1), a1 * sin(p1 + u * x1)
+        d0, d1, d2, d3 = t0 - m0, t1 - m1, t2 - m2, t3 - m3
+        y0 = e00 * d0 + e10 * d1 + e20 * d2 + e30 * d3
+        y1 = e01 * d0 + e11 * d1 + e21 * d2 + e31 * d3
+        y2 = e02 * d0 + e12 * d1 + e22 * d2 + e32 * d3
+        y3 = e03 * d0 + e13 * d1 + e23 * d2 + e33 * d3
+        q = _checked_q(w0 * y0 * y0 + w1 * y1 * y1 + w2 * y2 * y2 + w3 * y3 * y3)
+        # v = G+ d, on each model pair and on the pair turned by 90 degrees
+        z0, z1, z2, z3 = w0 * y0, w1 * y1, w2 * y2, w3 * y3
+        v0 = e00 * z0 + e01 * z1 + e02 * z2 + e03 * z3
+        v1 = e10 * z0 + e11 * z1 + e12 * z2 + e13 * z3
+        v2 = e20 * z0 + e21 * z1 + e22 * z2 + e23 * z3
+        v3 = e30 * z0 + e31 * z1 + e32 * z2 + e33 * z3
+        in0, rot0 = v0 * m0 + v1 * m1, v1 * m0 - v0 * m1
+        in1, rot1 = v2 * m2 + v3 * m3, v3 * m2 - v2 * m3
+        # the Jacobian columns ju = dm/du and js = dm/ds, on the eigenvectors
+        ju0, ju1, ju2, ju3 = -x0 * m1, x0 * m0, -x1 * m3, x1 * m2
+        js0, js1, js2, js3 = k0 * m0, k0 * m1, k1 * m2, k1 * m3
+        bu0 = e00 * ju0 + e10 * ju1 + e20 * ju2 + e30 * ju3
+        bu1 = e01 * ju0 + e11 * ju1 + e21 * ju2 + e31 * ju3
+        bu2 = e02 * ju0 + e12 * ju1 + e22 * ju2 + e32 * ju3
+        bu3 = e03 * ju0 + e13 * ju1 + e23 * ju2 + e33 * ju3
+        bs0 = e00 * js0 + e10 * js1 + e20 * js2 + e30 * js3
+        bs1 = e01 * js0 + e11 * js1 + e21 * js2 + e31 * js3
+        bs2 = e02 * js0 + e12 * js1 + e22 * js2 + e32 * js3
+        bs3 = e03 * js0 + e13 * js1 + e23 * js2 + e33 * js3
+        # the Gauss-Newton matrix J' G+ J
+        auu = w0 * bu0 * bu0 + w1 * bu1 * bu1 + w2 * bu2 * bu2 + w3 * bu3 * bu3
+        aus = w0 * bu0 * bs0 + w1 * bu1 * bs1 + w2 * bu2 * bs2 + w3 * bu3 * bs3
+        ass = w0 * bs0 * bs0 + w1 * bs1 * bs1 + w2 * bs2 * bs2 + w3 * bs3 * bs3
+        return (q, -(x0 * rot0 + x1 * rot1), -(k0 * in0 + k1 * in1),
+                auu + x0 * x0 * in0 + x1 * x1 * in1,
+                aus - (k0 * x0 * rot0 + k1 * x1 * rot1),
+                ass - ((k0 + k0 * k0) * in0 + (k1 + k1 * k1) * in1),
+                auu, aus, ass)
 
-    offsets = (0.1 * sd, 0.1 * gamma0)
-    first, f_first = _nelder_mead(objective, (mu0, gamma0), offsets)
-    second, f_second = _nelder_mead(objective, first, offsets)
-    point = second if f_second <= f_first else first
-    nu = min(max(point[0], nu_lo), nu_hi)
-    rho = min(max(point[1], rho_lo), rho_hi)
-    return nu, rho, q_form(g_target, gaussian_cf_vector(nu, rho, lam), g_plus)
+    def polish(u, s, best):
+        point = terms(u, s)
+        for iteration in range(_NEWTON_MAX_ITER):
+            q, gu, gs, huu, hus, hss, auu, aus, ass = point
+            # a coordinate on a bound its gradient pushes out of the box is held
+            hold_u = (u <= -_U_MAX and gu > 0.0) or (u >= _U_MAX and gu < 0.0)
+            hold_s = (s <= -_S_MAX and gs > 0.0) or (s >= _S_MAX and gs < 0.0)
+            if hold_u and hold_s:
+                break
+            ridge = 1e-12 * (auu + ass) + 1e-300
+            if hold_u:
+                newton = hss > 0.0
+                du, ds = 0.0, -gs / (hss if newton else ass + ridge)
+            elif hold_s:
+                newton = huu > 0.0
+                du, ds = -gu / (huu if newton else auu + ridge), 0.0
+            else:
+                newton = huu > 0.0 and hss > 0.0 and huu * hss > hus * hus
+                if not newton:
+                    huu, hus, hss = auu + ridge, aus, ass + ridge
+                det = huu * hss - hus * hus
+                if det > 0.0:
+                    du, ds = (hus * gs - hss * gu) / det, (hus * gu - huu * gs) / det
+                else:
+                    du, ds = -gu / huu, -gs / hss
+            decrease = -(gu * du + gs * ds)
+            if decrease <= _NEWTON_TOL * q:
+                break
+            scale = min(1.0, _STEP_CELLS * hu / abs(du) if du else 1.0,
+                        _STEP_CELLS * hs / abs(ds) if ds else 1.0)
+            du, ds = scale * du, scale * ds
+            # the quadratic model's decrease along the step, with a margin
+            # that is wider where the model is Gauss-Newton
+            margin = (2.0 if newton else 5.0) * scale * (2.0 - scale) * decrease
+            if iteration == 0 and q - margin > best:
+                break
+            step = 1.0
+            for _ in range(_NEWTON_HALVINGS):
+                u_try = min(max(u + step * du, -_U_MAX), _U_MAX)
+                s_try = min(max(s + step * ds, -_S_MAX), _S_MAX)
+                trial = terms(u_try, s_try)
+                if trial[0] < q:
+                    u, s, point = u_try, s_try, trial
+                    break
+                step *= 0.5
+            else:
+                break
+        return point[0], u, s
+
+    seeds, hu, hs = _grid_seeds(target, weights, vectors, (x0, x1), (p0, p1))
+    ends = []
+    for seed in seeds:
+        ends.append(polish(*seed, min(ends)[0] if ends else math.inf))
+    # where the model repeats in u (commensurate frequencies, as in fixed mode)
+    # equal minima recur; report the one nearest the sample mean
+    q_min = min(ends)[0]
+    q, u, s = min((end for end in ends if end[0] <= q_min * (1.0 + _TIE)),
+                  key=lambda end: abs(end[1]))
+    return mu0 + u * sd, gamma0 * math.exp(s), q
 
 
 def minimize_q(y: Series, lam: Lambda, target_cf: np.ndarray | None = None):
     """Best-fitting Gaussian parameters (nu, rho) and the minimized form.
 
     Assembles the empirical CF vector and the pseudo-inverted spectral matrix,
-    then runs the simplex descent from (mean, variance). `target_cf` replaces
-    the empirical CF vector (testing seam for exact-fit checks).
+    then minimizes the form over the box around (mean, variance) (see
+    _fit_gaussian_cf). `target_cf` replaces the empirical CF vector (testing
+    seam for exact-fit checks).
 
     Returns (mu_n, gamma_n, q_min).
     """

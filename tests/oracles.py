@@ -6,11 +6,9 @@ paths, so each oracle stays an independent route to the same quantity.
 """
 
 import math
-import operator
 
 import numpy as np
 
-from rpgauss.exceptions import NumericalError
 from rpgauss.rng import sample_beta
 
 
@@ -161,225 +159,71 @@ def spectral_brute(values, lam_values) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-# -- Gaussian-CF fit (numpy downhill simplex) -------------------------------------
+# -- Gaussian-CF fit (dense grid with zooms) -----------------------------------------
 
-def _gaussian_cf_numpy(nu, rho, lam_values):
-    amp = np.exp(-0.5 * rho * lam_values**2)
-    out = np.empty(2 * lam_values.size)
-    out[0::2] = amp * np.cos(nu * lam_values)
-    out[1::2] = amp * np.sin(nu * lam_values)
-    return out
+def _q_unit(g_target, g_plus, xi, phi, u, s):
+    """Q at the points (u, s) (arrays that broadcast together), where
+    u = (nu - mu0)/sd and s = ln(rho/gamma0), from the Gaussian CF
+    exp(-rho lam^2 / 2 + i nu lam) written as exp(-e^s xi^2 / 2 + i (phi + u xi)).
 
-
-def _q_form_numpy(g_hat, g_model, g_plus):
-    d = np.asarray(g_hat, dtype=float) - np.asarray(g_model, dtype=float)
-    with np.errstate(invalid="ignore", over="ignore"):
-        q = float(d @ g_plus @ d)
-    if not math.isfinite(q):
-        raise NumericalError("quadratic form is not finite")
-    if q < -1e-12:
-        raise NumericalError(f"quadratic form is negative beyond tolerance: {q}")
-    return max(q, 0.0)
+    Q = sum_k w_k (e_k' d)^2 over the eigenpairs (w_k, e_k) of G+, a sum of
+    squares that keeps its relative precision when G+ is ill-conditioned."""
+    d = np.empty(np.broadcast_shapes(np.shape(u), np.shape(s)) + (2 * xi.size,))
+    for j, (xi_j, phi_j) in enumerate(zip(xi, phi)):
+        amp = np.exp(-0.5 * np.exp(s) * xi_j * xi_j)
+        d[..., 2 * j] = g_target[2 * j] - amp * np.cos(phi_j + u * xi_j)
+        d[..., 2 * j + 1] = g_target[2 * j + 1] - amp * np.sin(phi_j + u * xi_j)
+    weights, vectors = np.linalg.eigh(g_plus)
+    return ((d @ vectors) ** 2) @ weights
 
 
-def nelder_mead_numpy(fn, start, offsets, max_iter=500, rel_spread=1e-10):
-    """Downhill simplex in 2D on numpy vertices (the reference search)."""
-    start = np.asarray(start, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
-    pts = [start.copy(),
-           start + np.array([offsets[0], 0.0]),
-           start + np.array([0.0, offsets[1]])]
-    vals = [fn(p) for p in pts]
+def dense_grid_fit(g_target, g_plus, lam_values, mu0, gamma0, keep=12):
+    """min Q over the fit's box nu in mu0 +- 10 sd, rho in [gamma0/100, 100 gamma0],
+    by brute force: a dense grid over the box in u = (nu - mu0)/sd and
+    s = ln(rho/gamma0), at least 16 u points per shortest period 2 pi/xi_max,
+    then, around each of its `keep` best local minima, 11 x 11 grids that move
+    to their best point and shrink five-fold whenever that point is inside.
 
-    for _ in range(max_iter):
-        order = np.argsort(vals, kind="stable")
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        best = pts[0]
-        spread = 0.0
-        for j in range(2):
-            coord = (pts[0][j], pts[1][j], pts[2][j])
-            spread = max(spread, (max(coord) - min(coord)) / (abs(best[j]) + abs(offsets[j])))
-        if spread < rel_spread:
-            break
-
-        centroid = (pts[0] + pts[1]) / 2.0
-        reflected = centroid + (centroid - pts[2])
-        f_r = fn(reflected)
-        if vals[0] <= f_r < vals[1]:
-            pts[2], vals[2] = reflected, f_r
-        elif f_r < vals[0]:
-            expanded = centroid + 2.0 * (centroid - pts[2])
-            f_e = fn(expanded)
-            if f_e < f_r:
-                pts[2], vals[2] = expanded, f_e
-            else:
-                pts[2], vals[2] = reflected, f_r
-        else:
-            if f_r < vals[2]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-                f_c = fn(contracted)
-                if f_c <= f_r:
-                    pts[2], vals[2] = contracted, f_c
-                    continue
-            else:
-                contracted = centroid - 0.5 * (centroid - pts[2])
-                f_c = fn(contracted)
-                if f_c < vals[2]:
-                    pts[2], vals[2] = contracted, f_c
-                    continue
-            for i in (1, 2):
-                pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                vals[i] = fn(pts[i])
-
-    i_best = int(np.argmin(vals))
-    return pts[i_best], vals[i_best]
-
-
-def reference_fit_gaussian_cf(g_target, g_plus, lam_values, mu0, gamma0, trace=None):
-    """The Gaussian-CF fit with every step on numpy arrays: the same box
-    penalty, simplex and restart as the package's scalar search.
-
-    Returns (nu, rho, q_min). When `trace` is a list, the point (nu, rho) of
-    each objective evaluation is appended to it, in order.
-    """
-    lam_values = np.asarray(lam_values, dtype=float)
+    Returns (nu, rho, q_min)."""
+    g_target = np.asarray(g_target, dtype=float)
+    g_plus = np.asarray(g_plus, dtype=float)
     sd = math.sqrt(gamma0)
-    nu_lo, nu_hi = mu0 - 10.0 * sd, mu0 + 10.0 * sd
-    rho_lo, rho_hi = gamma0 / 100.0, 100.0 * gamma0
+    xi = np.asarray(lam_values, dtype=float) * sd
+    phi = np.asarray(lam_values, dtype=float) * mu0
+    s_max = math.log(100.0)
+    us = np.linspace(-10.0, 10.0, max(401, int(20.0 * 16.0 * xi.max() / (2.0 * math.pi)) + 1))
+    ss = np.linspace(-s_max, s_max, 241)
+    q = _q_unit(g_target, g_plus, xi, phi, us[:, None], ss[None, :])
+    padded = np.pad(q, 1, constant_values=np.inf)
+    local = np.ones(q.shape, dtype=bool)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            if (di, dj) != (1, 1):
+                local &= q <= padded[di:di + q.shape[0], dj:dj + q.shape[1]]
+    flat = np.flatnonzero(local)
+    starts = flat[np.argsort(q.flat[flat], kind="stable")[:keep]]
 
-    def objective(point):
-        nu, rho = float(point[0]), float(point[1])
-        if trace is not None:
-            trace.append((nu, rho))
-        nu_c = min(max(nu, nu_lo), nu_hi)
-        rho_c = min(max(rho, rho_lo), rho_hi)
-        violation = abs(nu - nu_c) + abs(rho - rho_c)
-        val = _q_form_numpy(g_target, _gaussian_cf_numpy(nu_c, rho_c, lam_values), g_plus)
-        val += 1e6 * violation
-        if not math.isfinite(val):
-            raise NumericalError(f"objective is not finite at ({nu}, {rho})")
-        return val
-
-    offsets = (0.1 * sd, 0.1 * gamma0)
-    first, f_first = nelder_mead_numpy(objective, (mu0, gamma0), offsets)
-    second, f_second = nelder_mead_numpy(objective, first, offsets)
-    point = second if f_second <= f_first else first
-    nu = min(max(float(point[0]), nu_lo), nu_hi)
-    rho = min(max(float(point[1]), rho_lo), rho_hi)
-    return nu, rho, _q_form_numpy(g_target, _gaussian_cf_numpy(nu, rho, lam_values), g_plus)
-
-
-def _checked_q_scalar(q):
-    if not math.isfinite(q):
-        raise NumericalError("quadratic form is not finite")
-    if q < -1e-12:
-        raise NumericalError(f"quadratic form is negative beyond tolerance: {q}")
-    return max(q, 0.0)
-
-
-def scalar_nelder_mead(fn, start, offsets, max_iter=500, rel_spread=1e-10, iterations=None):
-    """Downhill simplex on Python float tuples held in lists, sorted each
-    iteration with sorted(); the package's search before its vertices moved
-    into locals. When `iterations` is a list, the number of iterations run
-    (max_iter when the spread test never fired) is appended to it."""
-    x0, y0 = start
-    ox, oy = offsets
-    pts = [(x0, y0), (x0 + ox, y0), (x0, y0 + oy)]
-    vals = [fn(x, y) for x, y in pts]
-    scale_x, scale_y = abs(ox), abs(oy)
-
-    done = max_iter
-    for it in range(max_iter):
-        order = sorted(range(3), key=vals.__getitem__)
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        (bx, by), (px, py), (wx, wy) = pts
-        spread = max((max(bx, px, wx) - min(bx, px, wx)) / (abs(bx) + scale_x),
-                     (max(by, py, wy) - min(by, py, wy)) / (abs(by) + scale_y))
-        if spread < rel_spread:
-            done = it
+    # all the zooms at once: one row per start
+    u, s = us[starts // ss.size], ss[starts % ss.size]
+    half_u = np.full(u.size, us[1] - us[0])
+    half_s = np.full(u.size, ss[1] - ss[0])
+    steps = np.linspace(-1.0, 1.0, 11)
+    rows = np.arange(u.size)
+    for _ in range(400):
+        if np.all((half_u < 1e-11) & (half_s < 1e-11)):
             break
-
-        cx, cy = (bx + px) / 2.0, (by + py) / 2.0
-        rx, ry = cx + (cx - wx), cy + (cy - wy)
-        f_r = fn(rx, ry)
-        if vals[0] <= f_r < vals[1]:
-            pts[2], vals[2] = (rx, ry), f_r
-        elif f_r < vals[0]:
-            ex, ey = cx + 2.0 * (cx - wx), cy + 2.0 * (cy - wy)
-            f_e = fn(ex, ey)
-            if f_e < f_r:
-                pts[2], vals[2] = (ex, ey), f_e
-            else:
-                pts[2], vals[2] = (rx, ry), f_r
-        else:
-            if f_r < vals[2]:
-                kx, ky = cx + 0.5 * (rx - cx), cy + 0.5 * (ry - cy)
-                f_c = fn(kx, ky)
-                if f_c <= f_r:
-                    pts[2], vals[2] = (kx, ky), f_c
-                    continue
-            else:
-                kx, ky = cx - 0.5 * (cx - wx), cy - 0.5 * (cy - wy)
-                f_c = fn(kx, ky)
-                if f_c < vals[2]:
-                    pts[2], vals[2] = (kx, ky), f_c
-                    continue
-            # shrink toward the best vertex
-            for i in (1, 2):
-                ix, iy = pts[i]
-                pts[i] = (bx + 0.5 * (ix - bx), by + 0.5 * (iy - by))
-                vals[i] = fn(*pts[i])
-
-    if iterations is not None:
-        iterations.append(done)
-    i_best = min(range(3), key=vals.__getitem__)
-    return pts[i_best], vals[i_best]
-
-
-def reference_scalar_fit(g_target, g_plus, lam_values, mu0, gamma0, iterations=None):
-    """The Gaussian-CF fit on Python floats for any number N of frequencies:
-    per-frequency terms, column-wise sums of d * G+ and the list-based
-    simplex. Returns (nu, rho, q_min); `iterations` collects each simplex
-    run's iteration count (see scalar_nelder_mead)."""
-    target = np.asarray(g_target, dtype=float)
-    lam_values = np.asarray(lam_values, dtype=float)
-    terms = [(lv, lv * lv, re_t, im_t) for lv, re_t, im_t
-             in zip(lam_values.tolist(), target[0::2].tolist(), target[1::2].tolist())]
-    columns = np.asarray(g_plus, dtype=float).T.tolist()
-    mu0, gamma0 = float(mu0), float(gamma0)
-    sd = math.sqrt(gamma0)
-    nu_lo, nu_hi = mu0 - 10.0 * sd, mu0 + 10.0 * sd
-    rho_lo, rho_hi = gamma0 / 100.0, 100.0 * gamma0
-
-    def objective(nu, rho):
-        nu_c = nu_lo if nu < nu_lo else nu_hi if nu > nu_hi else nu
-        rho_c = rho_lo if rho < rho_lo else rho_hi if rho > rho_hi else rho
-        violation = abs(nu - nu_c) + abs(rho - rho_c)
-        d = []
-        for lv, lv_sq, re_t, im_t in terms:
-            amp = math.exp(-0.5 * rho_c * lv_sq)
-            d += (re_t - amp * math.cos(nu_c * lv), im_t - amp * math.sin(nu_c * lv))
-        q = 0.0
-        for d_j, column in zip(d, columns):
-            v_j = 0.0
-            for term in map(operator.mul, d, column):
-                v_j += term
-            q += v_j * d_j
-        val = _checked_q_scalar(q) + 1e6 * violation
-        if not math.isfinite(val):
-            raise NumericalError(f"objective is not finite at ({nu}, {rho})")
-        return val
-
-    offsets = (0.1 * sd, 0.1 * gamma0)
-    first, f_first = scalar_nelder_mead(objective, (mu0, gamma0), offsets,
-                                        iterations=iterations)
-    second, f_second = scalar_nelder_mead(objective, first, offsets, iterations=iterations)
-    point = second if f_second <= f_first else first
-    nu = min(max(point[0], nu_lo), nu_hi)
-    rho = min(max(point[1], rho_lo), rho_hi)
-    return nu, rho, _q_form_numpy(g_target, _gaussian_cf_numpy(nu, rho, lam_values), g_plus)
+        cand_u = np.clip(u[:, None] + half_u[:, None] * steps, -10.0, 10.0)
+        cand_s = np.clip(s[:, None] + half_s[:, None] * steps, -s_max, s_max)
+        zoom = _q_unit(g_target, g_plus, xi, phi, cand_u[:, :, None], cand_s[:, None, :])
+        i, j = np.divmod(zoom.reshape(u.size, -1).argmin(axis=1), steps.size)
+        u, s = cand_u[rows, i], cand_s[rows, j]
+        inside_u = ((i > 0) & (i < 10)) | (np.abs(u) == 10.0)
+        inside_s = ((j > 0) & (j < 10)) | (np.abs(s) == s_max)
+        shrink = np.where(inside_u & inside_s, 0.2, 1.0)
+        half_u, half_s = half_u * shrink, half_s * shrink
+    values = _q_unit(g_target, g_plus, xi, phi, u, s)
+    best = int(np.argmin(values))
+    return mu0 + u[best] * sd, gamma0 * math.exp(s[best]), float(values[best])
 
 
 # -- AR(1) recursion and stick breaking ---------------------------------------------

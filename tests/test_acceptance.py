@@ -163,7 +163,7 @@ def test_criterion_09b_minimizer_beats_grid():
         gap = q_min - _grid_minimum(ghat, gplus, lam, y.mean(), y.autocovariance(0))
         worst = max(worst, gap)
         ok &= gap <= 1e-6
-    _emit(9, ok, f"9b: simplex endpoint beats the 200x200 grid on 20 series "
+    _emit(9, ok, f"9b: fit endpoint beats the 200x200 grid on 20 series "
                  f"(worst gap {worst:.2e} <= 1e-6)")
 
 

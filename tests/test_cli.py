@@ -144,6 +144,21 @@ def test_cmd_test_large_scale_still_runs_the_cf_test(tmp_path, capsys):
     assert 0.0 <= json.loads(capsys.readouterr().out)["result"]["p_value"] <= 1.0
 
 
+def test_cmd_test_cf_p_value_is_scale_free_near_the_smallest_variance(tmp_path, capsys):
+    # random frequencies near 1e153 were squared and overflowed: p = 0.0587 at
+    # 10^-153.6 against 0.0357 at 10^-153.7, with a RuntimeWarning
+    p_values = []
+    for exponent in (-153.6, -153.7):
+        path = _write_series(tmp_path / f"scaled{exponent}.txt",
+                             RngStream(1).standard_normal(200) * 10.0 ** exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["test", "--input", path, "--test", "E", "--epps-lambda", "random",
+                         "--seed", "5"]) == 0
+        p_values.append(json.loads(capsys.readouterr().out)["result"]["p_value"])
+    assert p_values[1] == pytest.approx(p_values[0], rel=1e-9, abs=0.0)
+
+
 def test_cmd_test_missing_file_exits_2(tmp_path, capsys):
     assert main(["test", "--input", str(tmp_path / "nope.txt")]) == 2
 
