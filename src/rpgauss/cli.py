@@ -26,7 +26,7 @@ from .simulation import Ar1Process, WstarProcess, check_cell, rejection_rate, re
 from .epps import epps_test  # noqa: F401
 from .fdr import combined_p  # noqa: F401
 from .lobato_velasco import lv_test  # noqa: F401
-from .rp import rp_test_multi  # noqa: F401
+from .rp import rp_test as rp_test_multi  # noqa: F401
 
 SCHEMA_VERSION = 1
 

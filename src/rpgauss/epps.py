@@ -188,18 +188,6 @@ def _checked_q(q: float) -> float:
     return max(q, 0.0)
 
 
-def q_form(g_hat: np.ndarray, g_model: np.ndarray, g_plus: np.ndarray) -> float:
-    """(g_hat - g_model)^T G+ (g_hat - g_model), clamped to 0 when it dips
-    within tolerance below zero; a larger negative value signals a broken
-    pseudo-inverse and raises."""
-    d = np.asarray(g_hat, dtype=float) - np.asarray(g_model, dtype=float)
-    if d.ndim != 1 or np.shape(g_plus) != (d.size, d.size):
-        raise ValueError("dimension mismatch between vectors and matrix")
-    with np.errstate(invalid="ignore", over="ignore"):
-        q = float(d @ g_plus @ d)
-    return _checked_q(q)
-
-
 def _grid_points(half_width: float, count: int, centre: tuple[float, float]):
     """count uniform points over [-half_width, half_width], three times finer
     over the interval centre, and the uniform spacing."""

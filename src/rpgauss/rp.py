@@ -1,17 +1,20 @@
 """The random-projection test: draw directions, test projected marginals,
 combine the p-values with the dependence-robust FDR rule.
 
-The default design uses four projections: Beta(100, 1) directions (nearly the
-identity, good against non-Gaussian marginals) and Beta(2, 7) directions
-(mixing several lags, good against dependent non-Gaussianity with Gaussian
-marginal), each paired once with the characteristic-function test and once
-with the skewness-kurtosis test.
+The design is one recipe scaled by k_pairs: 2*k_pairs projections, half with
+Beta(100, 1) directions (nearly the identity, good against non-Gaussian
+marginals) and half with Beta(2, 7) directions (mixing several lags, good
+against dependent non-Gaussianity with Gaussian marginal), the marginal test
+alternating between the characteristic-function and the skewness-kurtosis
+test within each half. The default k_pairs = 2 gives four projections, each
+direction family paired once with each marginal test.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 from .epps import RANDOM, epps_test
 from .exceptions import DegenerateSeriesError, NumericalError
@@ -23,52 +26,8 @@ from .series import Series
 
 EPPS = "epps"
 LV = "lv"
-
-
-@dataclass(frozen=True)
-class ProjectionPlan:
-    alpha1: float
-    alpha2: float
-    test: str
-
-    def __post_init__(self):
-        if self.alpha1 <= 0.0 or self.alpha2 <= 0.0:
-            raise ValueError("beta parameters must be positive")
-        if self.test not in (EPPS, LV):
-            raise ValueError(f"test must be {EPPS!r} or {LV!r}")
-
-
-DEFAULT_PLANS = (
-    ProjectionPlan(100.0, 1.0, EPPS),
-    ProjectionPlan(100.0, 1.0, LV),
-    ProjectionPlan(2.0, 7.0, EPPS),
-    ProjectionPlan(2.0, 7.0, LV),
-)
-
-
-def multi_projection_plans(k_pairs: int) -> tuple[ProjectionPlan, ...]:
-    """2*k_pairs projections: one half Beta(100,1), the other Beta(2,7);
-    within each half the marginal test alternates starting with the
-    characteristic-function test. k_pairs=2 reproduces the default design."""
-    if int(k_pairs) != k_pairs or k_pairs < 1:
-        raise ValueError("k_pairs must be a positive integer")
-    plans = []
-    for alpha1, alpha2 in ((100.0, 1.0), (2.0, 7.0)):
-        for i in range(int(k_pairs)):
-            plans.append(ProjectionPlan(alpha1, alpha2, EPPS if i % 2 == 0 else LV))
-    return tuple(plans)
-
-
-@dataclass(frozen=True)
-class RpConfig:
-    plans: tuple[ProjectionPlan, ...] = DEFAULT_PLANS
-    delta: float = 1e-15
-    epps_mode: str = RANDOM
-    lv: LvConfig = LvConfig()
-
-    def __post_init__(self):
-        if not self.plans:
-            raise ValueError("need at least one projection")
+DELTA = 1e-15  # stick mass left unassigned when breaking stops
+BETAS = ((100.0, 1.0), (2.0, 7.0))  # (alpha1, alpha2) of each half of the directions
 
 
 @dataclass(frozen=True)
@@ -121,44 +80,47 @@ class RpReport:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def rp_test(x: Series, cfg: RpConfig | None = None, rng: RngStream | None = None,
-            alpha: float | None = None) -> RpReport:
-    """Run the projection test on an observed path.
+def rp_test(x: Series, rng: RngStream, k_pairs: int = 2, alpha: float | None = None,
+            epps_mode: str = RANDOM, lv: LvConfig = LvConfig()) -> RpReport:
+    """Run the projection test with 2*k_pairs projections on an observed path.
 
-    Each configured projection draws its direction from a fresh substream of
-    `rng`, projects the path, and runs the named marginal test on the
-    projection; the per-projection p-values are FDR-combined. A degenerate
-    projection aborts the run with a diagnostic rather than imputing a
-    p-value, since silent imputation would bias rejection rates.
+    The first k_pairs directions are Beta(100, 1), the other k_pairs
+    Beta(2, 7); within each half the marginal test alternates, starting with
+    the characteristic-function test. Projection j draws its direction from
+    the substream j of `rng`, projects the path, and runs its marginal test
+    on the projection; the per-projection p-values are FDR-combined. A
+    degenerate projection aborts the run with a diagnostic rather than
+    imputing a p-value, since silent imputation would bias rejection rates.
     """
+    if int(k_pairs) != k_pairs or k_pairs < 1:
+        raise ValueError("k_pairs must be a positive integer")
     if rng is None:
         raise ValueError("rp_test needs an RngStream")
-    if cfg is None:
-        cfg = RpConfig()
     if x.n < 8:
         raise ValueError(f"series too short for testing (n={x.n} < 8)")
     if x.autocovariance(0) <= 0.0:
         raise DegenerateSeriesError("constant input cannot be tested")
 
     records = []
-    for j, plan in enumerate(cfg.plans):
+    for j, ((alpha1, alpha2), i) in enumerate(product(BETAS, range(int(k_pairs)))):
+        test = EPPS if i % 2 == 0 else LV
         sub = rng.substream(j)
-        params = StickBreakingParams(plan.alpha1, plan.alpha2, n_cap=x.n, delta=cfg.delta)
+        params = StickBreakingParams(alpha1, alpha2, n_cap=x.n, delta=DELTA)
         direction = draw_projection_vector(params, sub)
         projected = project_series(x, direction)
         try:
-            if plan.test == EPPS:
-                res = epps_test(projected, cfg.epps_mode, sub)
+            if test == EPPS:
+                res = epps_test(projected, epps_mode, sub)
                 lam = tuple(res.lam.values)
             else:
-                res = lv_test(projected, cfg.lv)
+                res = lv_test(projected, lv)
                 lam = None
         except (DegenerateSeriesError, NumericalError) as exc:
             raise type(exc)(
-                f"projection {j} (beta=({plan.alpha1:g},{plan.alpha2:g}), "
-                f"test={plan.test}) failed: {exc}") from exc
+                f"projection {j} (beta=({alpha1:g},{alpha2:g}), "
+                f"test={test}) failed: {exc}") from exc
         records.append(ProjectionRecord(
-            alpha1=plan.alpha1, alpha2=plan.alpha2, test=plan.test,
+            alpha1=alpha1, alpha2=alpha2, test=test,
             statistic=res.statistic, p_value=res.p_value,
             stream_id=sub.stream_id, direction=direction, lam=lam))
 
@@ -166,12 +128,3 @@ def rp_test(x: Series, cfg: RpConfig | None = None, rng: RngStream | None = None
     reject = None if alpha is None else combined <= alpha
     return RpReport(projections=tuple(records), combined_p=combined, alpha=alpha,
                     reject=reject, master_seed=rng.master_seed, stream_id=rng.stream_id)
-
-
-def rp_test_multi(x: Series, k_pairs: int, rng: RngStream, alpha: float | None = None,
-                  delta: float = 1e-15, epps_mode: str = RANDOM,
-                  lv: LvConfig = LvConfig()) -> RpReport:
-    """Projection test with 2*k_pairs projections (see multi_projection_plans)."""
-    cfg = RpConfig(plans=multi_projection_plans(k_pairs), delta=delta,
-                   epps_mode=epps_mode, lv=lv)
-    return rp_test(x, cfg, rng, alpha)

@@ -13,14 +13,18 @@ from functools import partial
 
 import numpy as np
 
+from . import rp
 from .epps import FIXED, RANDOM, EppsResult, epps_test
 from .exceptions import DegenerateSeriesError, NumericalError
 from .fdr import combined_p
 from .lobato_velasco import LvConfig, LvResult, lv_test
 from .rng import InnovationFamily, RngStream, sample_innovations
-from .rp import RpReport, rp_test_multi
+from .rp import RpReport
 from .series import Series
 from .special import normal_quantile
+
+# Not called here: perfbench/spans.py patches this name in this module as well.
+from .rp import rp_test as rp_test_multi  # noqa: F401
 
 DEFAULT_PAST = 1000
 MIN_N = 8  # the shortest series every test accepts
@@ -174,13 +178,13 @@ def _label(kind: str, k_pairs: int | None) -> str:
 def resolve_test(token: str, projections: int = 4) -> tuple[str, str, int | None]:
     """(label, kind, k_pairs) of a test token. RP runs `projections` (even,
     >= 2) projections, as RPmulti:projections/2 when that is not 4; the label
-    is the canonical token of what runs."""
+    is the canonical token of what runs. `projections` is checked for every
+    kind, also one that ignores it."""
+    if projections % 2 != 0 or projections < 2:
+        raise ValueError(f"--projections must be an even number >= 2, got {projections}")
     kind, k_pairs = parse_test_kind(token)
-    if kind == "RP":
-        if projections % 2 != 0 or projections < 2:
-            raise ValueError(f"--projections must be an even number >= 2, got {projections}")
-        if projections != 4:
-            kind, k_pairs = "RPmulti", projections // 2
+    if kind == "RP" and projections != 4:
+        kind, k_pairs = "RPmulti", projections // 2
     return _label(kind, k_pairs), kind, k_pairs
 
 
@@ -228,8 +232,9 @@ def run_test(series: Series, kind: str, rng: RngStream, k_pairs: int | None = No
     if kind in ("RP", "RPmulti"):
         if kind == "RPmulti" and k_pairs is None:
             raise ValueError("RPmulti needs k_pairs")
-        report = rp_test_multi(series, 2 if kind == "RP" else k_pairs, rng, alpha=alpha,
-                               epps_mode=epps_mode or RANDOM, lv=lv)
+        # through the module, where perfbench/spans.py wraps rp_test
+        report = rp.rp_test(series, rng, 2 if kind == "RP" else k_pairs, alpha=alpha,
+                            epps_mode=epps_mode or RANDOM, lv=lv)
         return KindResult(_label(kind, k_pairs), report.combined_p, report.reject, rp=report)
     if kind not in ("E", "G", "GE"):
         raise ValueError(f"unknown test kind {kind!r}")

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from rpgauss.exceptions import NumericalError
 from rpgauss.rng import sample_beta
 
 
@@ -160,6 +161,23 @@ def spectral_brute(values, lam_values) -> np.ndarray:
 
 
 # -- Gaussian-CF fit (dense grid with zooms) -----------------------------------------
+
+def q_form(g_hat, g_model, g_plus) -> float:
+    """(g_hat - g_model)' G+ (g_hat - g_model) by the double sum over the
+    components, clamped to 0 when it dips at most 1e-12 below zero; a value
+    that is not finite, or further below zero, signals a broken
+    pseudo-inverse and raises NumericalError."""
+    d = np.asarray(g_hat, dtype=float) - np.asarray(g_model, dtype=float)
+    if d.ndim != 1 or np.shape(g_plus) != (d.size, d.size):
+        raise ValueError("dimension mismatch between vectors and matrix")
+    d, g = d.tolist(), np.asarray(g_plus, dtype=float).tolist()
+    q = sum(d[i] * g[i][j] * d[j] for i in range(len(d)) for j in range(len(d)))
+    if not math.isfinite(q):
+        raise NumericalError("quadratic form is not finite")
+    if q < -1e-12:
+        raise NumericalError(f"quadratic form is negative beyond tolerance: {q}")
+    return max(q, 0.0)
+
 
 def _q_unit(g_target, g_plus, xi, phi, u, s):
     """Q at the points (u, s) (arrays that broadcast together), where

@@ -190,8 +190,14 @@ def test_cmd_test_epps_lambda_override(tmp_path, capsys):
 
 
 def test_cmd_test_bad_projection_count(tmp_path, capsys):
+    # checked for every kind, not only where RP reads it
     path = _normal_file(tmp_path, n=200)
-    assert main(["test", "--input", path, "--test", "RP", "--projections", "5"]) == 2
+    for kind, count in (("RP", "5"), ("G", "7"), ("E", "-2"), ("RPmulti:3", "5")):
+        argv = ["test", "--input", path, "--test", kind, "--projections", count]
+        assert main(argv) == 2, kind
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--projections" in captured.err
 
 
 def test_cmd_test_bad_alpha_exits_2(tmp_path, capsys):
@@ -327,8 +333,8 @@ def test_cmd_simulate_projections_sets_rp_size(capsys):
 
 
 def test_cmd_simulate_bad_projection_count(capsys):
-    for count in ("5", "0"):
-        argv = ["simulate", "--test", "G,RP", "--n", "64", "--reps", "2", "--past", "50",
+    for test, count in (("G,RP", "5"), ("G,RP", "0"), ("G", "3")):
+        argv = ["simulate", "--test", test, "--n", "64", "--reps", "2", "--past", "50",
                 "--projections", count]
         assert main(argv) == 2
         captured = capsys.readouterr()

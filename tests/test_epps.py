@@ -10,14 +10,14 @@ from rpgauss import (Ar1Process, DegenerateSeriesError, InnovationFamily, Numeri
                      RngStream, Series, epps_test)
 from rpgauss.epps import (Lambda, _fit_gaussian_cf, _lag_window, draw_lambda,
                           empirical_cf_vector, gaussian_cf_vector, minimize_q, pseudo_inverse,
-                          q_form, spectral_density_at_zero)
+                          spectral_density_at_zero)
 from rpgauss.lobato_velasco import lv_test
 from rpgauss.simulation import simulate_ar1
 from rpgauss.special import chi_square_sf
 from rpgauss import epps
 from rpgauss.projection import StickBreakingParams, draw_projection_vector, project_series
 
-from oracles import dense_grid_fit, ks_distance, spectral_brute
+from oracles import dense_grid_fit, ks_distance, q_form, spectral_brute
 
 
 def _lam(values, mode="fixed"):

@@ -1,37 +1,43 @@
 import json
 
-import numpy as np
 import pytest
 
 from rpgauss import DegenerateSeriesError, RngStream, Series, rp_test
 from rpgauss.fdr import combined_p
-from rpgauss.rp import ProjectionPlan, RpConfig, multi_projection_plans, rp_test_multi
-from rpgauss.rp import DEFAULT_PLANS, EPPS, LV
+from rpgauss.rp import EPPS, LV
 
 
 def _series(seed=101, n=200):
     return Series(RngStream(seed).standard_normal(n))
 
 
+def _layout(report):
+    return [(rec.alpha1, rec.alpha2, rec.test) for rec in report.projections]
+
+
+DEFAULT_LAYOUT = [(100.0, 1.0, EPPS), (100.0, 1.0, LV), (2.0, 7.0, EPPS), (2.0, 7.0, LV)]
+
+
 def test_default_design():
-    assert [(p.alpha1, p.alpha2, p.test) for p in DEFAULT_PLANS] == [
-        (100.0, 1.0, EPPS), (100.0, 1.0, LV), (2.0, 7.0, EPPS), (2.0, 7.0, LV)]
+    assert _layout(rp_test(_series(), rng=RngStream(7))) == DEFAULT_LAYOUT
 
 
 def test_multi_plans_pairs_two_reproduces_default():
-    assert multi_projection_plans(2) == DEFAULT_PLANS
+    assert _layout(rp_test(_series(), RngStream(7), k_pairs=2)) == DEFAULT_LAYOUT
 
 
 def test_multi_plans_eight_projections():
-    plans = multi_projection_plans(4)
-    assert len(plans) == 8
-    assert [p.alpha1 for p in plans] == [100.0] * 4 + [2.0] * 4
-    assert [p.test for p in plans] == [EPPS, LV, EPPS, LV] * 2
+    layout = _layout(rp_test(_series(), RngStream(7), k_pairs=4))
+    assert len(layout) == 8
+    assert [a1 for a1, _, _ in layout] == [100.0] * 4 + [2.0] * 4
+    assert [a2 for _, a2, _ in layout] == [1.0] * 4 + [7.0] * 4
+    assert [test for _, _, test in layout] == [EPPS, LV, EPPS, LV] * 2
 
 
 def test_multi_plans_guard():
-    with pytest.raises(ValueError):
-        multi_projection_plans(0)
+    for k_pairs in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="k_pairs"):
+            rp_test(_series(), RngStream(1), k_pairs=k_pairs)
 
 
 def test_report_structure_and_recomputable_combination():
@@ -40,8 +46,8 @@ def test_report_structure_and_recomputable_combination():
     assert len(report.projections) == 4
     assert report.combined_p == combined_p(report.p_values())
     assert report.reject == (report.combined_p <= 0.05)
-    for rec, plan in zip(report.projections, DEFAULT_PLANS):
-        assert (rec.alpha1, rec.alpha2, rec.test) == (plan.alpha1, plan.alpha2, plan.test)
+    assert _layout(report) == DEFAULT_LAYOUT
+    for rec in report.projections:
         assert 0.0 <= rec.p_value <= 1.0
         if rec.test == EPPS:
             assert rec.lam is not None and len(rec.lam) == 2
@@ -65,13 +71,6 @@ def test_bit_level_determinism():
     assert a.to_json() != c.to_json()
 
 
-def test_multi_with_two_pairs_matches_plain():
-    x = _series()
-    a = rp_test(x, rng=RngStream(99))
-    b = rp_test_multi(x, 2, RngStream(99))
-    assert a.to_json() == b.to_json()
-
-
 def test_json_serialization_roundtrip():
     report = rp_test(_series(), rng=RngStream(41), alpha=0.1)
     data = json.loads(report.to_json())
@@ -84,7 +83,7 @@ def test_json_serialization_roundtrip():
 
 def test_combined_p_in_unit_interval():
     for seed in range(5):
-        report = rp_test_multi(_series(seed + 300, 120), 3, RngStream(seed))
+        report = rp_test(_series(seed + 300, 120), RngStream(seed), k_pairs=3)
         assert 0.0 <= report.combined_p <= 1.0
 
 
@@ -97,15 +96,11 @@ def test_guards():
         rp_test(Series([2.0] * 50), rng=RngStream(1))
 
 
-def test_config_requires_plans():
-    with pytest.raises(ValueError):
-        RpConfig(plans=())
-
-
-def test_custom_config_is_used():
-    cfg = RpConfig(plans=(ProjectionPlan(5.0, 1.0, LV),), epps_mode="random")
-    report = rp_test(_series(), cfg, RngStream(4))
-    assert len(report.projections) == 1
-    assert report.projections[0].test == LV
-    # single p-value: combination reduces to it
-    assert report.combined_p == pytest.approx(min(1.0, report.projections[0].p_value))
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_location_shift_leaves_combined_p_unchanged():
+    # The projection filters the raw path with the ragged prefix of the
+    # direction at early t, so a mean offset leaks into the projected series.
+    values = RngStream(3).standard_normal(100)
+    a = rp_test(Series(values), rng=RngStream(9))
+    b = rp_test(Series(values + 10.0), rng=RngStream(9))
+    assert b.combined_p == pytest.approx(a.combined_p, rel=1e-9)
