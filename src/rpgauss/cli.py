@@ -39,8 +39,9 @@ def read_values(path: str) -> np.ndarray:
     """Parse one numeric value per line; a non-numeric first line is treated
     as a header and skipped; a value may carry commas (single-column CSV, so
     `1.5,` is read as 1.5), but a line with two or more values is rejected,
-    and so is a value with underscore digit grouping (`1_000`)."""
-    text = Path(path).read_text()
+    and so is a value with underscore digit grouping (`1_000`). The file is
+    read as UTF-8, and a leading byte-order mark is ignored."""
+    text = Path(path).read_text(encoding="utf-8-sig")
     if "_" in text:
         _reject_digit_grouping(text)
     values: list[float] = []

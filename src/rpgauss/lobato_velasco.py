@@ -26,17 +26,18 @@ class LvConfig:
     variant: str = MODIFIED
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
+        if not 0.0 < self.c < math.inf:  # also false for NaN
+            raise ValueError(f"c must be finite and positive, got {self.c!r}")
         if not 0.0 < self.beta0 <= 0.5:
             raise ValueError("beta0 must lie in (0, 0.5]")
         if self.variant not in (MODIFIED, ORIGINAL):
             raise ValueError(f"variant must be {MODIFIED!r} or {ORIGINAL!r}")
 
     def tau(self, n: int) -> int:
-        """Truncation point floor(c * n^beta0), clamped to [1, n-1]."""
-        t = int(math.floor(self.c * n**self.beta0))
-        return max(1, min(t, n - 1))
+        """Truncation point floor(c * n^beta0), clamped to [1, n-1]; the clamp
+        to n - 1 is taken in float, so a product that overflows to inf gives
+        n - 1."""
+        return max(1, math.floor(min(self.c * n**self.beta0, n - 1)))
 
 
 def f_hat_k(y: Series, k: int, tau: int) -> float:

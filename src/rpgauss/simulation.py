@@ -21,7 +21,7 @@ from .lobato_velasco import LvConfig, LvResult, lv_test
 from .rng import InnovationFamily, RngStream, sample_innovations
 from .rp import RpReport
 from .series import Series
-from .special import normal_quantile
+from .special import normal_quantiles
 
 # Not called here: perfbench/spans.py patches this name in this module as well.
 from .rp import rp_test as rp_test_multi  # noqa: F401
@@ -134,8 +134,7 @@ def simulate_wstar_path(proc: WstarProcess, rng: RngStream) -> WstarPath:
     j = np.arange(u, u + n)
     levels = (starts[j // p] + (j % p) * y0) % p
     uniforms = rng.randoms(n)
-    args = (levels + uniforms) / p
-    values = np.fromiter(map(normal_quantile, args.tolist()), dtype=float, count=n)
+    values = normal_quantiles((levels + uniforms) / p)
     return WstarPath(series=Series(values), levels=levels, y0=y0, u=u)
 
 

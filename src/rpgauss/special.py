@@ -1,27 +1,44 @@
-"""Scalar special functions: standard-normal quantile and chi-square survival.
+"""Special functions: standard-normal quantile and chi-square survival.
 
-The quantile is the standard library's `statistics.NormalDist.inv_cdf`,
-Wichura's algorithm AS 241 (1988), accurate to about 1e-16 relative; this
-module only adds the domain check. The chi-square survival function is the
-finite sum for even degrees of freedom, the only ones the tests use.
+The quantile is Wichura's algorithm AS 241 (1988), accurate to about 1e-16
+relative, as the standard library's C routine behind
+`statistics.NormalDist().inv_cdf`; this module adds one domain check per
+array and calls the routine once per value, so each quantile is bit for bit
+the one `NormalDist().inv_cdf` returns. The chi-square survival function is
+the finite sum for even degrees of freedom, the only ones the tests use.
 """
 
 import math
-from statistics import NormalDist
+from itertools import repeat
+# The C routine that NormalDist.inv_cdf calls, without its two Python frames
+# per value; a Python that drops the name fails here, at import.
+from statistics import _normal_dist_inv_cdf
+
+import numpy as np
 
 from .exceptions import NumericalError
 
-_STANDARD_NORMAL = NormalDist()
+
+def normal_quantiles(u) -> np.ndarray:
+    """Quantiles of the standard normal distribution at the values of the
+    one-dimensional array `u`.
+
+    Raises ValueError, naming the first bad value, unless 0 < u < 1 holds
+    for every value (so also for NaN).
+    """
+    u = np.asarray(u, dtype=float)
+    inside = (u > 0.0) & (u < 1.0)  # False for NaN
+    if not inside.all():
+        bad = u[np.argmin(inside)].item()
+        raise ValueError(f"normal_quantile requires 0 < u < 1, got {bad!r}")
+    return np.fromiter(map(_normal_dist_inv_cdf, u.tolist(), repeat(0.0), repeat(1.0)),
+                       dtype=float, count=u.size)
 
 
 def normal_quantile(u: float) -> float:
-    """Quantile of the standard normal distribution.
-
-    Raises ValueError unless 0 < u < 1 (so also for NaN).
-    """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"normal_quantile requires 0 < u < 1, got {u!r}")
-    return _STANDARD_NORMAL.inv_cdf(u)
+    """Quantile of the standard normal distribution: `normal_quantiles` on
+    one value."""
+    return normal_quantiles([u])[0].item()
 
 
 def chi_square_sf(x: float, df: int) -> float:

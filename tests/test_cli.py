@@ -93,6 +93,17 @@ def test_read_rejects_nan(tmp_path):
         read_values(str(p))
 
 
+def test_read_ignores_byte_order_mark(tmp_path):
+    # a BOM must not turn the first value into a skipped "header"
+    for header in ("", "value\n"):
+        text = header + "".join(f"{v}.25\n" for v in range(20))
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert read_values(str(marked)).tolist() == read_values(str(plain)).tolist()
+        assert len(read_values(str(marked))) == 20
+
+
 # -- test command -----------------------------------------------------------------
 
 def test_cmd_test_short_file_exits_2(tmp_path, capsys):
@@ -208,6 +219,24 @@ def test_cmd_test_bad_alpha_exits_2(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "alpha" in captured.err
+
+
+def test_cmd_test_non_finite_c_exits_2(tmp_path, capsys):
+    path = _normal_file(tmp_path, n=200)
+    for c in ("inf", "nan", "-inf"):
+        for kind in ("G", "RP"):
+            assert main(["test", "--input", path, "--test", kind, f"--c={c}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "c must be finite and positive" in captured.err
+
+
+def test_cmd_test_huge_c_clamps_tau(tmp_path, capsys):
+    # c * sqrt(n) overflows to inf; tau is clamped to n - 1 as for any c beyond n
+    path = _normal_file(tmp_path, n=200)
+    for c in ("1e308", "1e6"):
+        assert main(["test", "--input", path, "--test", "G", "--c", c]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["lv"]["tau"] == 199
 
 
 def test_cmd_test_deterministic_output(tmp_path, capsys):
@@ -358,6 +387,15 @@ def test_cmd_simulate_bad_cell_fails_before_output(flags, cell, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {cell} ")
+
+
+@pytest.mark.parametrize("c", ["inf", "nan"])
+def test_cmd_simulate_non_finite_c_fails_before_output(c, capsys):
+    argv = ["simulate", "--test", "G", "--n", "64", "--reps", "2", "--past", "50", "--c", c]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "c must be finite and positive" in captured.err
 
 
 @pytest.mark.parametrize("bad, message", [

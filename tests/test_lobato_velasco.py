@@ -13,8 +13,9 @@ from oracles import f_hat_brute, ks_distance
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LvConfig(c=0.0)
+    for c in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="c must be finite and positive"):
+            LvConfig(c=c)
     with pytest.raises(ValueError):
         LvConfig(beta0=0.6)
     with pytest.raises(ValueError):
@@ -28,6 +29,18 @@ def test_tau_floor_and_clamp():
     assert cfg.tau(4) == 2
     assert cfg.tau(2) == 1
     assert LvConfig(c=50.0).tau(9) == 8  # clamped to n-1
+    assert LvConfig(c=1e308).tau(100) == 99  # c * n^beta0 overflows to inf
+    assert LvConfig(c=1e308).tau(2) == 1
+
+
+def test_tau_clamp_in_float_keeps_every_finite_value():
+    # the clamp to n - 1 moved before the int conversion; below overflow it
+    # gives the same tau as clamping the integer floor
+    for c in (1e-3, 0.3, 1.0, 2.5, 7.0, 49.9, 50.0, 1e3):
+        for beta0 in (0.1, 0.25, 0.5):
+            cfg = LvConfig(c=c, beta0=beta0)
+            for n in (2, 3, 8, 9, 100, 1000, 10**4):
+                assert cfg.tau(n) == max(1, min(int(math.floor(c * n**beta0)), n - 1))
 
 
 def test_f_hat_white_noise_like():

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -144,11 +145,26 @@ def test_wstar_levels_match_block_matrix(p, n):
     assert np.array_equal(path.levels, levels)
 
 
+def _wstar_exact_draws(p: int, n: int, seed: int) -> tuple[list[int], np.ndarray]:
+    """Levels and uniforms of a w* path redrawn from the same stream, each
+    level (z0 + k*y0) mod p of its block computed alone in Python ints, for
+    any p up to the largest allowed."""
+    rng = RngStream(seed)
+    y0 = int(rng.integers(p))
+    u = int(rng.integers(p))
+    starts = np.asarray(rng.integers(p, size=(n + u + p - 1) // p)).tolist()
+    levels = [(starts[j // p] + (j % p) * y0) % p for j in range(u, u + n)]
+    return levels, rng.randoms(n)
+
+
 def test_wstar_values_are_quantiles_of_levels():
-    for p, n in ((5, 1000), (1009, 200)):
+    # bit for bit the stdlib's public quantile of (level + uniform) / p
+    inv_cdf = NormalDist().inv_cdf
+    for p, n in ((5, 1000), (1009, 200), (3037000493, 1000)):
         path = simulate_wstar_path(WstarProcess(p=p, n=n), RngStream(210))
-        levels, uniforms = _wstar_matrix_draws(p, n, 210)
-        expected = [normal_quantile((int(k) + float(uv)) / p) for k, uv in zip(levels, uniforms)]
+        levels, uniforms = _wstar_exact_draws(p, n, 210)
+        assert path.levels.tolist() == levels
+        expected = [inv_cdf((k + uv) / p) for k, uv in zip(levels, uniforms.tolist())]
         assert path.series.values.tolist() == expected
 
 

@@ -1,9 +1,11 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from rpgauss.special import chi_square_sf, normal_quantile
+from rpgauss.rng import RngStream
+from rpgauss.special import chi_square_sf, normal_quantile, normal_quantiles
 
 from oracles import chi2_sf_quadrature, norm_cdf_series, normal_quantile_bisect
 
@@ -30,15 +32,37 @@ def test_quantile_roundtrip_identity():
 def test_quantile_symmetry():
     # for dyadic u = k / 2**20 the complement 1 - u is exact, so the quantile
     # must be odd about 1/2 up to rounding, in the tails as well
-    for k in range(1, 2**19 + 1):
-        u = k / 2**20
-        assert abs(normal_quantile(1.0 - u) + normal_quantile(u)) <= 1e-14
+    u = np.arange(1, 2**19 + 1) / 2**20
+    assert np.all(np.abs(normal_quantiles(1.0 - u) + normal_quantiles(u)) <= 1e-14)
 
 
 def test_quantile_domain():
     for bad in (0.0, 1.0, -0.5, 2.0, float("nan")):
         with pytest.raises(ValueError):
             normal_quantile(bad)
+
+
+def test_quantiles_bitwise_equal_to_stdlib():
+    # AS 241 has three branches: the central region |u - 1/2| <= 0.425, the
+    # tails with r = sqrt(-log(min(u, 1 - u))) <= 5, and the far tails beyond
+    u = np.concatenate([
+        np.linspace(0.075, 0.925, 40_001),
+        np.logspace(-323.0, math.log10(0.075), 30_000),
+        1.0 - np.logspace(-16.0, math.log10(0.075), 30_000),
+        RngStream(11).randoms(20_000),
+        [5e-324, 1e-300, 1.0 - 2.0**-53, 2.0**-53, 0.5],
+    ])
+    assert np.all((u > 0.0) & (u < 1.0))
+    inv_cdf = NormalDist().inv_cdf
+    expected = np.array([inv_cdf(x) for x in u.tolist()])
+    assert normal_quantiles(u).tobytes() == expected.tobytes()
+    assert [normal_quantile(x) for x in u[::1000].tolist()] == expected[::1000].tolist()
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0, float("nan")])
+def test_quantiles_domain_names_first_bad_value(bad):
+    with pytest.raises(ValueError, match=f"got {bad!r}$"):
+        normal_quantiles(np.array([0.25, bad, 0.75, -1.0]))
 
 
 def test_chi2_sf_full_mass_at_zero():
