@@ -20,7 +20,8 @@ from .exceptions import NumericalError
 from .lobato_velasco import LvConfig
 from .rng import InnovationFamily, RngStream
 from .series import Series
-from .simulation import Ar1Process, WstarProcess, check_cell, rejection_rate, resolve_test, run_test
+from .simulation import (DEFAULT_PAST, Ar1Process, WstarProcess, check_cell, rejection_rate,
+                         resolve_test, run_test)
 
 # Not called here: perfbench/spans.py patches these names in this module as well.
 from .epps import epps_test  # noqa: F401
@@ -42,11 +43,29 @@ def read_values(path: str) -> np.ndarray:
     and so is a value with underscore digit grouping (`1_000`). The file is
     read as UTF-8, and a leading byte-order mark is ignored."""
     text = Path(path).read_text(encoding="utf-8-sig")
+    if not text.strip():
+        raise ValueError("input file is empty")
     if "_" in text:
         _reject_digit_grouping(text)
+    lines = text.splitlines()
+    try:
+        # the common case, every line one bare value, in one pass
+        values = np.fromiter(map(float, lines), float, count=len(lines))
+    except ValueError:
+        values = _parse_lines(lines)
+    if len(values) < 8:
+        raise ValueError(f"need at least 8 numeric values, found {len(values)}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("input contains non-finite values")
+    return values
+
+
+def _parse_lines(lines: list[str]) -> np.ndarray:
+    """The values of lines that are not all bare values, at least one of
+    them not blank (see read_values)."""
     values: list[float] = []
     header_ok = True  # until the first non-empty line has been read
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(lines, start=1):
         try:
             values.append(float(line))  # the common case: one bare value
             continue
@@ -68,14 +87,7 @@ def read_values(path: str) -> np.ndarray:
             raise ValueError(f"{len(nums)} values at line {number}, expected one per line "
                              f"(multi-column input is not supported): {line!r}")
         values.extend(nums)
-    if header_ok and not values:
-        raise ValueError("input file is empty")
-    if len(values) < 8:
-        raise ValueError(f"need at least 8 numeric values, found {len(values)}")
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("input contains non-finite values")
-    return arr
+    return np.asarray(values, dtype=float)
 
 
 def _reject_digit_grouping(text: str) -> None:
@@ -125,7 +137,26 @@ def _csv_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
+# The keys of an experiment file, and of a cell of each process in it; a
+# cell key of one process only is also a flag that is None when not given.
+_EXPERIMENT_KEYS = ("seed", "alpha", "cells")
+_CELL_KEYS = {"ar1": ("process", "q", "dist", "n", "test", "reps", "past"),
+              "wstar": ("process", "p", "n", "test", "reps")}
+_AR1_DEFAULTS = {"q": "0", "dist": "normal", "past": DEFAULT_PAST}
+
+
+def _ar1_flag(args, name: str):
+    value = getattr(args, name)
+    return _AR1_DEFAULTS[name] if value is None else value
+
+
 def _cells_from_args(args) -> list[dict]:
+    own = _CELL_KEYS[args.process]
+    for process, keys in _CELL_KEYS.items():
+        given = [f"--{key}" for key in keys if key not in own and getattr(args, key) is not None]
+        if given:
+            raise ValueError(f"--process {args.process} takes no {', '.join(given)} "
+                             f"(flags of --process {process})")
     cells = []
     if args.process == "wstar":
         if args.p is None:
@@ -135,13 +166,13 @@ def _cells_from_args(args) -> list[dict]:
                 cells.append({"process": "wstar", "p": int(args.p), "n": int(n),
                               "test": test, "reps": args.reps})
     else:
-        for q in _csv_list(args.q):
-            for dist in _csv_list(args.dist):
+        for q in _csv_list(_ar1_flag(args, "q")):
+            for dist in _csv_list(_ar1_flag(args, "dist")):
                 for test in _csv_list(args.test):
                     for n in _csv_list(args.n):
                         cells.append({"process": "ar1", "q": float(q), "dist": dist,
                                       "n": int(n), "test": test, "reps": args.reps,
-                                      "past": args.past})
+                                      "past": _ar1_flag(args, "past")})
     return cells
 
 
@@ -149,16 +180,18 @@ def _cells_from_file(path: str, args) -> list[dict]:
     experiment = json.loads(Path(path).read_text())
     if not isinstance(experiment, dict) or not isinstance(experiment.get("cells"), list):
         raise ValueError("experiment file must be a JSON object with a 'cells' list")
+    unknown = [key for key in experiment if key not in _EXPERIMENT_KEYS]
+    if unknown:
+        raise ValueError(f"experiment file: unknown key {', '.join(map(repr, unknown))} "
+                         f"(it takes {', '.join(_EXPERIMENT_KEYS)})")
     if "seed" in experiment:
         args.seed = _integral(experiment["seed"], "seed")
     if "alpha" in experiment:
         args.alpha = _number(experiment["alpha"], "alpha")
-    cells = []
     for i, cell in enumerate(experiment["cells"], start=1):
         if not isinstance(cell, dict):
             raise ValueError(f"cell {i} of the experiment file is not a JSON object")
-        cells.append({"reps": args.reps, "past": args.past, **cell})
-    return cells
+    return experiment["cells"]
 
 
 def _number(value, name: str) -> float:
@@ -182,20 +215,26 @@ def _integral(value, name: str) -> int:
 
 
 def _prepare_cell(cell: dict, args) -> tuple:
-    """(process, test label, q field, dist field, reps) of a validated cell."""
-    label, _, _ = resolve_test(cell["test"], args.projections)
+    """(process, test label, q field, dist field, reps) of a validated cell;
+    reps and past default to the flags."""
     process = cell.get("process", "ar1")
+    if process not in tuple(_CELL_KEYS):  # a tuple: a JSON list or object is not hashable
+        raise ValueError(f"unknown process {process!r} (choose ar1 or wstar)")
+    unknown = [key for key in cell if key not in _CELL_KEYS[process]]
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))} "
+                         f"({process} cells take {', '.join(_CELL_KEYS[process])})")
+    label, _, _ = resolve_test(cell["test"], args.projections)
     if process == "wstar":
         proc = WstarProcess(p=_integral(cell["p"], "p"), n=_integral(cell["n"], "n"))
         q_field, dist_field = "", f"wstar(p={proc.p})"
-    elif process == "ar1":
-        family = _parse_dist(cell["dist"])
-        proc = Ar1Process(q=_number(cell["q"], "q"), innovation=family,
-                          n=_integral(cell["n"], "n"), past=_integral(cell["past"], "past"))
-        q_field, dist_field = repr(proc.q), family.value
     else:
-        raise ValueError(f"unknown process {process!r} (choose ar1 or wstar)")
-    reps = _integral(cell["reps"], "reps")
+        family = _parse_dist(cell["dist"])
+        past = _integral(cell.get("past", _ar1_flag(args, "past")), "past")
+        proc = Ar1Process(q=_number(cell["q"], "q"), innovation=family,
+                          n=_integral(cell["n"], "n"), past=past)
+        q_field, dist_field = repr(proc.q), family.value
+    reps = _integral(cell.get("reps", args.reps), "reps")
     check_cell(proc, label, reps, args.alpha, args.workers)
     return proc, label, q_field, dist_field, reps
 
@@ -262,12 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="estimate rejection rates (CSV on stdout)")
     p_sim.add_argument("--test", default="RP", help="comma list of test kinds (default RP)")
     p_sim.add_argument("--n", default="100", help="comma list of sample sizes (default 100)")
-    p_sim.add_argument("--q", default="0", help="comma list of AR coefficients (default 0)")
-    p_sim.add_argument("--dist", default="normal",
-                       help="comma list of innovation families (default normal): "
+    # the ar1 flags default to None, so that a wstar run can tell them given
+    p_sim.add_argument("--q", default=None,
+                       help=f"comma list of AR coefficients (default {_AR1_DEFAULTS['q']})")
+    p_sim.add_argument("--dist", default=None,
+                       help=f"comma list of innovation families (default "
+                            f"{_AR1_DEFAULTS['dist']}): "
                             + ", ".join(f.value for f in InnovationFamily))
     p_sim.add_argument("--reps", type=int, default=500, help="replications per cell (default 500)")
-    p_sim.add_argument("--past", type=int, default=1000, help="burn-in length (default 1000)")
+    p_sim.add_argument("--past", type=int, default=None,
+                       help=f"burn-in length (default {_AR1_DEFAULTS['past']})")
     p_sim.add_argument("--process", choices=["ar1", "wstar"], default="ar1",
                        help="generator family (default ar1)")
     p_sim.add_argument("--p", type=int, default=None, help="prime for the wstar process")

@@ -55,7 +55,7 @@ class Lambda:
             raise ValueError(f"need exactly two frequencies, got shape {vals.shape}")
         if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
             raise ValueError("frequencies must be finite and strictly positive")
-        if np.unique(vals).size != vals.size:
+        if vals[0] == vals[1]:
             raise ValueError("frequencies must be pairwise distinct")
         if self.mode not in (FIXED, RANDOM):
             raise ValueError(f"mode must be {FIXED!r} or {RANDOM!r}")
@@ -201,6 +201,20 @@ _S_POINTS, _S_STEP = _grid_points(_S_MAX, _GRID_S, _CENTRE_S)
 _S_POINTS.flags.writeable = False
 
 
+def _local_minima(q):
+    """Mask of the points of q no higher than any of their (up to eight)
+    neighbours: a point is no higher than each of them exactly when it is no
+    higher than the minimum of its 3 x 3 window. The window runs over a copy
+    padded with +inf, and np.minimum propagates NaN, so a NaN point and the
+    neighbours of one are never minima."""
+    rows, cols = q.shape
+    padded = np.full((rows + 2, cols + 2), np.inf)
+    padded[1:-1, 1:-1] = q
+    window = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+    window = np.minimum(np.minimum(window[:, :-2], window[:, 1:-1]), window[:, 2:])
+    return q <= window
+
+
 def _grid_seeds(t, weights, vectors, xi, phi):
     """Starting points (u, s) for the polish, lowest first, and the uniform
     grid spacings (hu, hs).
@@ -219,7 +233,6 @@ def _grid_seeds(t, weights, vectors, xi, phi):
     n_s = int(np.searchsorted(_S_POINTS, math.log(83.0 / min(xi) ** 2))) + 1
     ss = _S_POINTS[:n_s]
     r = np.exp(ss)
-    n_u, n_s = us.size, ss.size
     # e_k' d = tau_k - a_k(u) amp0(s) - b_k(u) amp1(s), with a_k and b_k the
     # projections of the (cos, sin) pairs on e_k, so sum_k w_k (e_k' d)^2 is
     # (n_u, 5) coefficients times (5, n_s) amplitude products, plus a constant
@@ -235,16 +248,8 @@ def _grid_seeds(t, weights, vectors, xi, phi):
                          -2.0 * (wt @ a), -2.0 * (wt @ b)])
         q = coef.T @ np.array([amp0 * amp0, amp1 * amp1, amp0 * amp1, amp0, amp1])
         q += wt @ tau
-    # a local minimum is no higher than any of its (up to eight) neighbours
-    low = np.ones(q.shape, dtype=bool)
-    for here, there in (((slice(None, -1), slice(None)), (slice(1, None), slice(None))),
-                        ((slice(None), slice(None, -1)), (slice(None), slice(1, None))),
-                        ((slice(None, -1), slice(None, -1)), (slice(1, None), slice(1, None))),
-                        ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1)))):
-        low[here] &= q[here] <= q[there]
-        low[there] &= q[there] <= q[here]
-    # the lowest of them is the grid's global minimum
-    rows, cols = np.nonzero(low)
+    # the lowest local minimum is the grid's global minimum
+    rows, cols = np.nonzero(_local_minima(q))
     seeds = sorted(zip(q[rows, cols].tolist(), rows.tolist(), cols.tolist()))[:_SEEDS]
     return [(float(us[i]), float(ss[j])) for _, i, j in seeds], hu, _S_STEP
 

@@ -111,10 +111,13 @@ class Series:
         max_lag = int(max_lag)
         have = self._acov.size
         if have <= max_lag:
-            # lag 0 is the second centered moment, kept exactly equal
-            new = [self.centered_moment(2)] if have == 0 else []
-            new += [self._lagged_product(lag) for lag in range(max(have, 1), max_lag + 1)]
-            acov = np.concatenate((self._acov, new))
+            # lag 0 is the second centered moment, kept exactly equal; the
+            # other lags are the values of _lagged_product, one dot per lag
+            # and one division of them all by n
+            first = [self.centered_moment(2)] if have == 0 else []
+            dev, n, dot = self._deviations(), self.n, np.dot
+            dots = [dot(dev[: n - lag], dev[lag:]) for lag in range(max(have, 1), max_lag + 1)]
+            acov = np.concatenate((self._acov, first, np.array(dots) / n))
             acov.setflags(write=False)
             self._acov = acov
         return self._acov[: max_lag + 1]

@@ -63,17 +63,19 @@ def simulate_ar1(proc: Ar1Process, rng: RngStream) -> Series:
     """Generate past + n values by the recursion and return the last n.
 
     The recursion runs on Python floats, one block of at most 2**16 values at
-    a time, written back over the innovations in place; the floating-point
-    operations are those of x[t] = q * x[t - 1] + eps[t] on the array.
+    a time; the kept values (index past on) are written back over the
+    innovations in place. The floating-point operations are those of
+    x[t] = q * x[t - 1] + eps[t] on the array.
     """
-    total = proc.past + proc.n
+    past, total = proc.past, proc.past + proc.n
     x = sample_innovations(proc.innovation, total, rng)
     q = proc.q
     prev = x[0].item()  # X_1 = e_1
     for start in range(1, total, _AR1_BLOCK):
         block = [prev := q * prev + e for e in x[start:start + _AR1_BLOCK].tolist()]
-        x[start:start + len(block)] = block
-    return Series(x[proc.past:])
+        skip = max(past - start, 0)  # burn-in values of this block
+        x[start + skip:start + len(block)] = block[skip:]
+    return Series(x[past:])
 
 
 def _is_prime(p: int) -> bool:

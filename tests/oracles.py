@@ -195,6 +195,23 @@ def _q_unit(g_target, g_plus, xi, phi, u, s):
     return ((d @ vectors) ** 2) @ weights
 
 
+def local_minima_brute(q) -> np.ndarray:
+    """Mask of the points of the 2-D array q that are <= each of their (up to
+    eight) neighbours, by a loop over every point and neighbour; a comparison
+    with NaN is false."""
+    q = np.asarray(q, dtype=float)
+    rows, cols = q.shape
+    low = np.zeros(q.shape, dtype=bool)
+    q = q.tolist()
+    for i in range(rows):
+        for j in range(cols):
+            low[i, j] = all(q[i][j] <= q[k][m]
+                            for k in range(max(i - 1, 0), min(i + 2, rows))
+                            for m in range(max(j - 1, 0), min(j + 2, cols))
+                            if (k, m) != (i, j))
+    return low
+
+
 def dense_grid_fit(g_target, g_plus, lam_values, mu0, gamma0, keep=12):
     """min Q over the fit's box nu in mu0 +- 10 sd, rho in [gamma0/100, 100 gamma0],
     by brute force: a dense grid over the box in u = (nu - mu0)/sd and

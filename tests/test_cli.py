@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +105,26 @@ def test_read_ignores_byte_order_mark(tmp_path):
         marked.write_text("\ufeff" + text, encoding="utf-8")
         assert read_values(str(marked)).tolist() == read_values(str(plain)).tolist()
         assert len(read_values(str(marked))) == 20
+
+
+def test_read_rejects_empty_file(tmp_path):
+    p = tmp_path / "x.txt"
+    for text in ("", "\n", " \n\t\n\n"):
+        p.write_text(text)
+        with pytest.raises(ValueError, match="input file is empty"):
+            read_values(str(p))
+
+
+def test_read_bare_lines_equal_the_line_parser(tmp_path):
+    # one pass over bare values, or the line-by-line parser for a file with a
+    # header, commas and blank lines: the same floats
+    values = [repr(v) for v in RngStream(3).standard_normal(50).tolist()] + ["1e308", "-0.0"]
+    bare, mixed = tmp_path / "bare.txt", tmp_path / "mixed.txt"
+    bare.write_text("\n".join(values) + "\n")
+    mixed.write_text("value\n" + "\n".join(f" {v}," for v in values) + "\n\n")
+    got = read_values(str(bare))
+    assert got.tobytes() == read_values(str(mixed)).tobytes()
+    assert got.tolist() == [float(v) for v in values]
 
 
 # -- test command -----------------------------------------------------------------
@@ -248,6 +271,21 @@ def test_cmd_test_deterministic_output(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cmd_test_rp_leaves_numpy_ma_unloaded():
+    # importing numpy.ma costs a fresh interpreter milliseconds and a
+    # megabyte or more; no step of `rpgauss test --test RP` needs it
+    series = Path(__file__).parent / "golden" / "series.txt"
+    script = ("import contextlib, io, sys\n"
+              "from rpgauss.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    assert main(['test', '--input', {str(series)!r}, '--test', 'RP']) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_cmd_test_null_calibration(tmp_path, capsys):
     # seeded standard-normal files: the combined p-value rarely falls below .01
     clear = 0
@@ -313,6 +351,22 @@ def test_cmd_simulate_wstar(capsys):
 
 def test_cmd_simulate_wstar_needs_p(capsys):
     assert main(["simulate", "--process", "wstar", "--test", "G", "--n", "100"]) == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--process", "wstar", "--p", "5", "--q", "0.9", "--dist", "lognormal", "--past", "7"],
+     "--process wstar takes no --q, --dist, --past"),
+    (["--process", "wstar", "--p", "5", "--past", "1000"], "--process wstar takes no --past"),
+    (["--process", "wstar", "--p", "5", "--dist", "normal"], "--process wstar takes no --dist"),
+    (["--process", "ar1", "--p", "5"], "--process ar1 takes no --p"),
+    (["--p", "5"], "--process ar1 takes no --p"),
+])
+def test_cmd_simulate_rejects_flags_of_the_other_process(flags, message, capsys):
+    argv = ["simulate", "--test", "G", "--n", "64", "--reps", "2", *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_cmd_simulate_bad_dist(capsys):
@@ -382,7 +436,8 @@ def test_cmd_simulate_bad_projection_count(capsys):
     (["--process", "wstar", "--p", "9"], "cell 1"),
 ])
 def test_cmd_simulate_bad_cell_fails_before_output(flags, cell, capsys):
-    argv = ["simulate", "--test", "G", "--n", "64", "--reps", "2", "--past", "50", *flags]
+    # no --past: it would be rejected with --process wstar before any cell
+    argv = ["simulate", "--test", "G", "--n", "64", "--reps", "2", *flags]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -431,6 +486,16 @@ def test_cmd_simulate_non_finite_c_fails_before_output(c, capsys):
     ({"process": "wstar", "p": 5, "n": 10**7 + 1, "test": "G"},
      "n must be at most 10000000"),
     ({"process": "wstar", "p": 2**89 - 1, "n": 64, "test": "G"}, "p must be at most"),
+    # a key outside the cell's process is rejected, not ignored
+    ({"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "repz": 7},
+     "unknown key 'repz' (ar1 cells take process, q, dist, n, test, reps, past)"),
+    ({"q": 0.0, "dist": "normal", "n": 64, "test": "G", "alpha": 0.5}, "unknown key 'alpha'"),
+    ({"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "p": 5},
+     "unknown key 'p'"),
+    ({"process": "wstar", "p": 5, "n": 64, "test": "G", "past": 50},
+     "unknown key 'past' (wstar cells take process, p, n, test, reps)"),
+    ({"process": "wstar", "p": 5, "n": 64, "test": "G", "q": 0.9, "dist": "lognormal"},
+     "unknown key 'q', 'dist'"),
 ])
 def test_cmd_simulate_bad_experiment_cell(tmp_path, capsys, bad, message):
     good = {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 2}
@@ -440,6 +505,16 @@ def test_cmd_simulate_bad_experiment_cell(tmp_path, capsys, bad, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cell 2" in captured.err and message in captured.err
+
+
+def test_cmd_simulate_experiment_rejects_unknown_top_level_key(tmp_path, capsys):
+    cell = {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 7}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"seed": 3, "alpah": 0.5, "cells": [cell]}))
+    assert main(["simulate", "--experiment", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown key 'alpah' (it takes seed, alpha, cells)" in captured.err
 
 
 def test_cmd_simulate_experiment_seed_is_integral(tmp_path, capsys):

@@ -17,7 +17,7 @@ from rpgauss.special import chi_square_sf
 from rpgauss import epps
 from rpgauss.projection import StickBreakingParams, draw_projection_vector, project_series
 
-from oracles import dense_grid_fit, ks_distance, q_form, spectral_brute
+from oracles import dense_grid_fit, ks_distance, local_minima_brute, q_form, spectral_brute
 
 
 def _lam(values, mode="fixed"):
@@ -312,6 +312,52 @@ def test_fit_reaches_the_dense_grid_minimum():
         worst = max(worst, n * (q_fit - q_grid))
     assert len(_projected_fit_cases()) == 240
     assert worst <= 1e-6, worst
+
+
+def _local_minima_grids():
+    rng = np.random.default_rng(76)
+    for shape in ((2, 2), (3, 5), (17, 9), (40, 25), (5, 1), (1, 5), (2, 1), (1, 2), (1, 1)):
+        yield rng.standard_normal(shape)
+        # integers from a narrow range make plateaus of equal neighbours
+        yield np.round(2.0 * rng.standard_normal(shape))
+        yield np.zeros(shape)
+    for special in (np.nan, np.inf, -np.inf):
+        for shape in ((6, 7), (8, 1), (1, 8), (2, 2)):
+            for _ in range(5):
+                q = np.round(rng.standard_normal(shape))
+                q[rng.random(shape) < 0.3] = special
+                q.flat[rng.integers(q.size)] = special
+                yield q
+    q = np.full((4, 4), np.inf)
+    q[1:3, 1:3] = [[np.nan, -np.inf], [np.inf, 0.0]]
+    yield q
+
+
+def test_local_minima_match_the_eight_neighbour_definition():
+    for q in _local_minima_grids():
+        assert np.array_equal(epps._local_minima(q), local_minima_brute(q)), q
+
+
+def test_local_minima_of_a_lone_point():
+    # a point without neighbours is a minimum unless it is NaN, which the
+    # 3 x 3 window compares with itself
+    for value in (0.0, -np.inf, np.inf):
+        assert epps._local_minima(np.array([[value]])).tolist() == [[True]]
+    assert epps._local_minima(np.array([[np.nan]])).tolist() == [[False]]
+
+
+def test_grid_seeds_from_the_eight_neighbour_definition(monkeypatch):
+    # the seed grids of the projected fits give the same seeds when their
+    # local minima come from the brute-force oracle
+    grids = []
+    for _, (g_target, g_plus, lam, mu0, gamma0) in _projected_fit_cases():
+        weights, vectors = np.linalg.eigh(g_plus)
+        sd = math.sqrt(gamma0)
+        grids.append((g_target, weights, vectors, tuple(lam.values * sd), tuple(lam.values * mu0)))
+    fast = [epps._grid_seeds(*grid) for grid in grids]
+    monkeypatch.setattr(epps, "_local_minima", local_minima_brute)
+    brute = [epps._grid_seeds(*grid) for grid in grids]
+    assert len(fast) == 240 and fast == brute
 
 
 def test_fit_reports_the_alias_nearest_the_mean():
