@@ -20,8 +20,8 @@ from .exceptions import NumericalError
 from .lobato_velasco import LvConfig
 from .rng import InnovationFamily, RngStream
 from .series import Series
-from .simulation import (DEFAULT_PAST, Ar1Process, WstarProcess, check_cell, rejection_rate,
-                         resolve_test, run_test)
+from .simulation import (DEFAULT_PAST, Ar1Process, WstarProcess, check_alpha, check_cell,
+                         check_projections, check_workers, rejection_rate, resolve_test, run_test)
 
 # Not called here: perfbench/spans.py patches these names in this module as well.
 from .epps import epps_test  # noqa: F401
@@ -137,46 +137,56 @@ def _csv_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
-# The keys of an experiment file, and of a cell of each process in it; a
-# cell key of one process only is also a flag that is None when not given.
+# The keys of an experiment file, and of a cell of each process in it. Each
+# cell key but reps is also a flag that is None when not given, so that a run
+# can tell it given: the flags of the other process are rejected, and so is
+# every cell flag but --past beside --experiment.
 _EXPERIMENT_KEYS = ("seed", "alpha", "cells")
 _CELL_KEYS = {"ar1": ("process", "q", "dist", "n", "test", "reps", "past"),
               "wstar": ("process", "p", "n", "test", "reps")}
-_AR1_DEFAULTS = {"q": "0", "dist": "normal", "past": DEFAULT_PAST}
+_FLAG_DEFAULTS = {"process": "ar1", "test": "RP", "n": "100", "q": "0", "dist": "normal",
+                  "past": DEFAULT_PAST}
+_FILE_CELL_FLAGS = ("process", "p", "q", "dist", "n", "test")  # given in each file cell
 
 
-def _ar1_flag(args, name: str):
+def _flag(args, name: str):
     value = getattr(args, name)
-    return _AR1_DEFAULTS[name] if value is None else value
+    return _FLAG_DEFAULTS[name] if value is None else value
 
 
 def _cells_from_args(args) -> list[dict]:
-    own = _CELL_KEYS[args.process]
-    for process, keys in _CELL_KEYS.items():
+    process = _flag(args, "process")
+    own = _CELL_KEYS[process]
+    for other, keys in _CELL_KEYS.items():
         given = [f"--{key}" for key in keys if key not in own and getattr(args, key) is not None]
         if given:
-            raise ValueError(f"--process {args.process} takes no {', '.join(given)} "
-                             f"(flags of --process {process})")
+            raise ValueError(f"--process {process} takes no {', '.join(given)} "
+                             f"(flags of --process {other})")
+    tests, sizes = _csv_list(_flag(args, "test")), _csv_list(_flag(args, "n"))
     cells = []
-    if args.process == "wstar":
+    if process == "wstar":
         if args.p is None:
             raise ValueError("--p is required for the wstar process")
-        for test in _csv_list(args.test):
-            for n in _csv_list(args.n):
+        for test in tests:
+            for n in sizes:
                 cells.append({"process": "wstar", "p": int(args.p), "n": int(n),
                               "test": test, "reps": args.reps})
     else:
-        for q in _csv_list(_ar1_flag(args, "q")):
-            for dist in _csv_list(_ar1_flag(args, "dist")):
-                for test in _csv_list(args.test):
-                    for n in _csv_list(args.n):
+        for q in _csv_list(_flag(args, "q")):
+            for dist in _csv_list(_flag(args, "dist")):
+                for test in tests:
+                    for n in sizes:
                         cells.append({"process": "ar1", "q": float(q), "dist": dist,
                                       "n": int(n), "test": test, "reps": args.reps,
-                                      "past": _ar1_flag(args, "past")})
+                                      "past": _flag(args, "past")})
     return cells
 
 
 def _cells_from_file(path: str, args) -> list[dict]:
+    given = [f"--{name}" for name in _FILE_CELL_FLAGS if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"--experiment takes no {', '.join(given)} "
+                         "(the cells of the experiment file set them)")
     experiment = json.loads(Path(path).read_text())
     if not isinstance(experiment, dict) or not isinstance(experiment.get("cells"), list):
         raise ValueError("experiment file must be a JSON object with a 'cells' list")
@@ -188,6 +198,7 @@ def _cells_from_file(path: str, args) -> list[dict]:
         args.seed = _integral(experiment["seed"], "seed")
     if "alpha" in experiment:
         args.alpha = _number(experiment["alpha"], "alpha")
+        check_alpha(args.alpha, "alpha of the experiment file")
     for i, cell in enumerate(experiment["cells"], start=1):
         if not isinstance(cell, dict):
             raise ValueError(f"cell {i} of the experiment file is not a JSON object")
@@ -230,7 +241,7 @@ def _prepare_cell(cell: dict, args) -> tuple:
         q_field, dist_field = "", f"wstar(p={proc.p})"
     else:
         family = _parse_dist(cell["dist"])
-        past = _integral(cell.get("past", _ar1_flag(args, "past")), "past")
+        past = _integral(cell.get("past", _flag(args, "past")), "past")
         proc = Ar1Process(q=_number(cell["q"], "q"), innovation=family,
                           n=_integral(cell["n"], "n"), past=past)
         q_field, dist_field = repr(proc.q), family.value
@@ -246,7 +257,12 @@ def run_simulate_command(args, out) -> None:
         cells = _cells_from_args(args)
     if not cells:
         raise ValueError("no simulation cells requested")
+    # the values every cell shares are checked once, by their flag; an alpha
+    # of the experiment file was checked as it was read
     lv_cfg = _lv_config(args)
+    check_projections(args.projections)
+    check_alpha(args.alpha, "--alpha")
+    check_workers(args.workers, "--workers")
     rng = RngStream(args.seed)
     # validate every cell first, so that bad input fails before any output
     prepared = []
@@ -299,25 +315,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="estimate rejection rates (CSV on stdout)")
-    p_sim.add_argument("--test", default="RP", help="comma list of test kinds (default RP)")
-    p_sim.add_argument("--n", default="100", help="comma list of sample sizes (default 100)")
-    # the ar1 flags default to None, so that a wstar run can tell them given
+    # the cell flags default to None, so that a run can tell them given (_flag)
+    p_sim.add_argument("--test", default=None,
+                       help=f"comma list of test kinds (default {_FLAG_DEFAULTS['test']})")
+    p_sim.add_argument("--n", default=None,
+                       help=f"comma list of sample sizes (default {_FLAG_DEFAULTS['n']})")
     p_sim.add_argument("--q", default=None,
-                       help=f"comma list of AR coefficients (default {_AR1_DEFAULTS['q']})")
+                       help=f"comma list of AR coefficients (default {_FLAG_DEFAULTS['q']})")
     p_sim.add_argument("--dist", default=None,
                        help=f"comma list of innovation families (default "
-                            f"{_AR1_DEFAULTS['dist']}): "
+                            f"{_FLAG_DEFAULTS['dist']}): "
                             + ", ".join(f.value for f in InnovationFamily))
     p_sim.add_argument("--reps", type=int, default=500, help="replications per cell (default 500)")
     p_sim.add_argument("--past", type=int, default=None,
-                       help=f"burn-in length (default {_AR1_DEFAULTS['past']})")
-    p_sim.add_argument("--process", choices=["ar1", "wstar"], default="ar1",
-                       help="generator family (default ar1)")
+                       help=f"burn-in length (default {_FLAG_DEFAULTS['past']})")
+    p_sim.add_argument("--process", choices=["ar1", "wstar"], default=None,
+                       help=f"generator family (default {_FLAG_DEFAULTS['process']})")
     p_sim.add_argument("--p", type=int, default=None, help="prime for the wstar process")
     p_sim.add_argument("--workers", type=int, default=1,
                        help="worker processes for replications (default 1)")
     p_sim.add_argument("--experiment", default=None,
-                       help="JSON experiment file (overrides the cell flags)")
+                       help="JSON experiment file of cells; takes none of "
+                            + ", ".join(f"--{name}" for name in _FILE_CELL_FLAGS)
+                            + "; --reps and --past are the defaults of cells without "
+                              "reps or past")
     return parser
 
 

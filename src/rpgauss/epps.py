@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,9 +54,10 @@ class Lambda:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (2,):
             raise ValueError(f"need exactly two frequencies, got shape {vals.shape}")
-        if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
+        v0, v1 = vals.tolist()
+        if not (0.0 < v0 < math.inf and 0.0 < v1 < math.inf):  # also false for NaN
             raise ValueError("frequencies must be finite and strictly positive")
-        if vals[0] == vals[1]:
+        if v0 == v1:
             raise ValueError("frequencies must be pairwise distinct")
         if self.mode not in (FIXED, RANDOM):
             raise ValueError(f"mode must be {FIXED!r} or {RANDOM!r}")
@@ -158,15 +160,20 @@ def pseudo_inverse(mat: np.ndarray, tol_rel: float = 1e-12) -> np.ndarray:
 
     Eigenvalues of magnitude below tol_rel times the largest magnitude are
     treated as zero, which keeps the inverse finite when the estimated
-    spectral matrix is numerically singular.
+    spectral matrix is numerically singular. A matrix symmetric within a
+    relative 1e-10 is symmetrized as (a + a^T)/2, which is a itself when a is
+    exactly symmetric.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if float(np.max(np.abs(a - a.T))) > 1e-10 * (scale + 1.0):
-        raise ValueError("matrix must be symmetric")
-    sym = (a + a.T) / 2.0
+    if (a == a.T).all():
+        sym = a
+    else:
+        scale = float(np.max(np.abs(a))) if a.size else 0.0
+        if float(np.max(np.abs(a - a.T))) > 1e-10 * (scale + 1.0):
+            raise ValueError("matrix must be symmetric")
+        sym = (a + a.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(sym)
     cutoff = tol_rel * float(np.max(np.abs(eigvals)))
     inv = np.zeros_like(eigvals)
@@ -199,6 +206,16 @@ def _grid_points(half_width: float, count: int, centre: tuple[float, float]):
 
 _S_POINTS, _S_STEP = _grid_points(_S_MAX, _GRID_S, _CENTRE_S)
 _S_POINTS.flags.writeable = False
+_S_EXP = np.exp(_S_POINTS)
+_S_EXP.flags.writeable = False
+
+
+@lru_cache(maxsize=None)  # bounded: the count lies in _GRID_U
+def _u_grid(count: int):
+    """The u points of the seed grid (read-only) and their uniform spacing."""
+    us, hu = _grid_points(_U_MAX, count, _CENTRE_U)
+    us.flags.writeable = False
+    return us, hu
 
 
 def _local_minima(q):
@@ -229,16 +246,20 @@ def _grid_seeds(t, weights, vectors, xi, phi):
     evaluates and checks Q as a sum of squares.
     """
     n_u = int(_GRID_PER_PERIOD * _U_MAX * max(xi) / math.pi) + 1
-    us, hu = _grid_points(_U_MAX, min(max(n_u, _GRID_U[0]), _GRID_U[1]), _CENTRE_U)
+    us, hu = _u_grid(min(max(n_u, _GRID_U[0]), _GRID_U[1]))
     n_s = int(np.searchsorted(_S_POINTS, math.log(83.0 / min(xi) ** 2))) + 1
     ss = _S_POINTS[:n_s]
-    r = np.exp(ss)
+    r = _S_EXP[:n_s]
     # e_k' d = tau_k - a_k(u) amp0(s) - b_k(u) amp1(s), with a_k and b_k the
     # projections of the (cos, sin) pairs on e_k, so sum_k w_k (e_k' d)^2 is
-    # (n_u, 5) coefficients times (5, n_s) amplitude products, plus a constant
-    theta = np.multiply.outer(us, xi) + phi
-    a = vectors[:2].T @ np.array([np.cos(theta[:, 0]), np.sin(theta[:, 0])])
-    b = vectors[2:].T @ np.array([np.cos(theta[:, 1]), np.sin(theta[:, 1])])
+    # (n_u, 5) coefficients times (5, n_s) amplitude products, plus a constant;
+    # trig[j] holds the rows cos(theta_j), sin(theta_j)
+    theta = np.multiply.outer(xi, us) + np.reshape(phi, (2, 1))
+    trig = np.empty((2, 2, us.size))
+    np.cos(theta, out=trig[:, 0])
+    np.sin(theta, out=trig[:, 1])
+    a = vectors[:2].T @ trig[0]
+    b = vectors[2:].T @ trig[1]
     tau = t @ vectors
     wt = weights * tau
     amp0 = np.exp((-0.5 * xi[0] * xi[0]) * r)
@@ -275,7 +296,7 @@ def _fit_gaussian_cf(g_target, g_plus, lam, mu0, gamma0):
     if target.shape != (2 * lam.count,) or np.shape(g_plus) != (target.size, target.size):
         raise ValueError("dimension mismatch between vectors and matrix")
     g_plus = np.asarray(g_plus, dtype=float)
-    if not np.all(np.isfinite(g_plus)):
+    if not np.isfinite(g_plus).all():
         raise NumericalError("pseudo-inverted spectral matrix is not finite")
     weights, vectors = np.linalg.eigh(g_plus)
     mu0, gamma0 = float(mu0), float(gamma0)

@@ -16,11 +16,22 @@ from .rng import RngStream, sample_beta, sample_betas
 from .series import Series
 
 
-def _weights(count: int) -> np.ndarray:
-    """Weights a_0..a_{count-1} of the sequence space: a_0 = 1, a_i = i^-2."""
+def _weight_formula(count: int) -> np.ndarray:
     idx = np.arange(count, dtype=float)
     idx[0] = 1.0
-    return 1.0 / (idx * idx)
+    weights = 1.0 / (idx * idx)
+    weights.flags.writeable = False
+    return weights
+
+
+# Beta(2, 7) directions stop after about 130 sticks; longer ones use the formula
+_WEIGHTS = _weight_formula(1024)
+
+
+def _weights(count: int) -> np.ndarray:
+    """Weights a_0..a_{count-1} of the sequence space, a_0 = 1 and a_i = i^-2,
+    as a read-only array."""
+    return _WEIGHTS[:count] if count <= _WEIGHTS.size else _weight_formula(count)
 
 
 @dataclass(frozen=True)
@@ -45,7 +56,7 @@ class StickBreakingParams:
             raise ValueError("n_cap must be a positive integer")
 
 
-_FIRST_BLOCK = 16  # fractions in the first block; each next block doubles
+_FIRST_BLOCK = 128  # fractions in the first block; each next block doubles
 
 
 def stick_breaking(params: StickBreakingParams, rng: RngStream) -> np.ndarray:
@@ -56,8 +67,8 @@ def stick_breaking(params: StickBreakingParams, rng: RngStream) -> np.ndarray:
     sticks, whichever comes first.
 
     A Beta(alpha1, 1) fraction is a single uniform, drawn by one sample_beta
-    call per stick. Other fractions come from sample_betas in blocks of 16,
-    32, 64, ... When the stopping stick falls inside a block, the stream is
+    call per stick. Other fractions come from sample_betas in blocks of 128,
+    256, 512, ... When the stopping stick falls inside a block, the stream is
     rewound to where it was before that block and exactly the fractions used
     are drawn again, so the stream ends where one sample_beta call per stick
     leaves it, and the draws that follow on it (the CF test's random
@@ -103,7 +114,7 @@ class ProjectionVector:
 
     def weighted_norm_sq(self) -> float:
         """sum_i h_i^2 a_i; equals 1 up to rounding by construction."""
-        return float(np.sum(self.h**2 * _weights(self.h.size)))
+        return float(np.add.reduce(self.h**2 * _weights(self.h.size)))
 
 
 def build_projection_vector(sticks, n_cap: int) -> ProjectionVector:
@@ -116,11 +127,11 @@ def build_projection_vector(sticks, n_cap: int) -> ProjectionVector:
     sticks = np.asarray(sticks, dtype=float)
     if sticks.ndim != 1 or sticks.size == 0:
         raise ValueError("sticks must be a non-empty one-dimensional sequence")
-    if np.any(sticks < 0.0):
+    if (sticks < 0.0).any():
         raise ValueError("stick lengths must be non-negative")
     if sticks.size > n_cap:
         raise ValueError("more sticks than the truncation cap allows")
-    total = float(np.sum(sticks))
+    total = float(np.add.reduce(sticks))
     if total > 1.0 + 1e-12:
         raise ValueError("stick lengths must sum to at most 1")
     remaining = 1.0 - total

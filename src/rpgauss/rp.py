@@ -101,12 +101,12 @@ def rp_test(x: Series, rng: RngStream, k_pairs: int = 2, alpha: float | None = N
     if x.autocovariance(0) <= 0.0:
         raise DegenerateSeriesError("constant input cannot be tested")
 
+    params = {beta: StickBreakingParams(*beta, n_cap=x.n, delta=DELTA) for beta in BETAS}
     records = []
     for j, ((alpha1, alpha2), i) in enumerate(product(BETAS, range(int(k_pairs)))):
         test = EPPS if i % 2 == 0 else LV
         sub = rng.substream(j)
-        params = StickBreakingParams(alpha1, alpha2, n_cap=x.n, delta=DELTA)
-        direction = draw_projection_vector(params, sub)
+        direction = draw_projection_vector(params[alpha1, alpha2], sub)
         projected = project_series(x, direction)
         try:
             if test == EPPS:

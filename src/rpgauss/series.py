@@ -31,7 +31,7 @@ class Series:
             raise ValueError("series values must be one-dimensional")
         if x.size == 0:
             raise ValueError("series must contain at least one value")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("series values must all be finite")
         x = x.copy()
         x.setflags(write=False)
@@ -56,7 +56,7 @@ class Series:
         """Sample mean (divisor n); NumericalError when the sum overflows."""
         if self._mean is None:
             with np.errstate(over="ignore"):
-                mean = float(np.mean(self._x))
+                mean = float(np.add.reduce(self._x) / self.n)
             if not math.isfinite(mean):
                 raise NumericalError("sample mean overflowed")
             self._mean = mean
@@ -89,11 +89,11 @@ class Series:
                     power = power * square
                 if k % 2:
                     power = power * dev
-                moment = float(np.sum(power) / self.n)
+                moment = float(np.add.reduce(power) / self.n)
             name = "sample variance" if k == 2 else f"sample centered moment of order {k}"
             if not math.isfinite(moment):
                 raise NumericalError(f"{name} overflowed")
-            if k == 2 and moment < TINY and np.any(dev):
+            if k == 2 and moment < TINY and dev.any():
                 raise DegenerateSeriesError(
                     f"{name} underflowed ({moment!r}): the values are too small to square")
             self._moments[k] = moment

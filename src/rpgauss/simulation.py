@@ -176,22 +176,40 @@ def _label(kind: str, k_pairs: int | None) -> str:
     return f"RPmulti:{k_pairs}" if kind == "RPmulti" else kind
 
 
+def check_projections(projections: int) -> None:
+    """Raise unless the RP projection count is even and at least 2."""
+    if projections % 2 != 0 or projections < 2:
+        raise ValueError(f"--projections must be an even number >= 2, got {projections}")
+
+
 def resolve_test(token: str, projections: int = 4) -> tuple[str, str, int | None]:
     """(label, kind, k_pairs) of a test token. RP runs `projections` (even,
     >= 2) projections, as RPmulti:projections/2 when that is not 4; the label
     is the canonical token of what runs. `projections` is checked for every
     kind, also one that ignores it."""
-    if projections % 2 != 0 or projections < 2:
-        raise ValueError(f"--projections must be an even number >= 2, got {projections}")
+    check_projections(projections)
     kind, k_pairs = parse_test_kind(token)
     if kind == "RP" and projections != 4:
         kind, k_pairs = "RPmulti", projections // 2
     return _label(kind, k_pairs), kind, k_pairs
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float, name: str = "alpha") -> None:
+    """Raise unless alpha lies in (0, 1]; the message calls it `name`."""
     if not 0.0 < alpha <= 1.0:  # also false for NaN
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
+        raise ValueError(f"{name} must lie in (0, 1], got {alpha!r}")
+
+
+def check_workers(workers: int, name: str = "workers") -> None:
+    """Raise unless workers is positive and, above one, the platform can fork."""
+    if workers < 1:
+        raise ValueError(f"{name} must be positive, got {workers!r}")
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError(f"{name} > 1 needs the fork start method, "
+                             "which this platform lacks")
 
 
 @dataclass(frozen=True)
@@ -229,7 +247,7 @@ def run_test(series: Series, kind: str, rng: RngStream, k_pairs: int | None = No
     the projection test with 4 / 2*k_pairs projections.
     """
     if alpha is not None:
-        _check_alpha(alpha)
+        check_alpha(alpha)
     if kind in ("RP", "RPmulti"):
         if kind == "RPmulti" and k_pairs is None:
             raise ValueError("RPmulti needs k_pairs")
@@ -267,15 +285,8 @@ def check_cell(process: Process, test: str, reps: int, alpha: float,
         raise ValueError(f"n must be at least {MIN_N}, got {process.n}")
     if reps < 1:
         raise ValueError("reps must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ValueError("workers > 1 needs the fork start method, "
-                             "which this platform lacks")
-    _check_alpha(alpha)
+    check_workers(workers)
+    check_alpha(alpha)
     return parse_test_kind(test)
 
 

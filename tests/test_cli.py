@@ -428,11 +428,12 @@ def test_cmd_simulate_bad_projection_count(capsys):
 @pytest.mark.parametrize("flags, cell", [
     (["--q", "0,1.0"], "cell 2"),
     (["--n", "100,5"], "cell 2"),
-    (["--alpha", "1.5"], "cell 1"),
-    (["--alpha", "nan"], "cell 1"),
+    # a value every cell shares is blamed on its flag, not on a cell
+    (["--alpha", "1.5"], "--alpha"),
+    (["--alpha", "nan"], "--alpha"),
     (["--reps", "0"], "cell 1"),
-    (["--workers", "0"], "cell 1"),
-    (["--workers", "-5"], "cell 1"),
+    (["--workers", "0"], "--workers"),
+    (["--workers", "-5"], "--workers"),
     (["--process", "wstar", "--p", "9"], "cell 1"),
 ])
 def test_cmd_simulate_bad_cell_fails_before_output(flags, cell, capsys):
@@ -442,6 +443,72 @@ def test_cmd_simulate_bad_cell_fails_before_output(flags, cell, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {cell} ")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--alpha", "0"], "--alpha must lie in (0, 1], got 0.0"),
+    (["--workers", "0"], "--workers must be positive, got 0"),
+    (["--projections", "3"], "--projections must be an even number >= 2, got 3"),
+    (["--c", "nan"], "c must be finite and positive, got nan"),
+])
+@pytest.mark.parametrize("source", ["flags", "experiment"])
+def test_cmd_simulate_run_flag_is_named_not_a_cell(tmp_path, capsys, flags, message, source):
+    if source == "flags":
+        argv = ["simulate", "--test", "G", "--n", "64", "--reps", "2", *flags]
+    else:
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"seed": 1, "cells": [
+            {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 2}]}))
+        argv = ["simulate", "--experiment", str(path), *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("alpha", [0, 1.5, -0.5])
+def test_cmd_simulate_experiment_alpha_out_of_range_names_the_key(tmp_path, capsys, alpha):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"alpha": alpha, "cells": [
+        {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 2}]}))
+    assert main(["simulate", "--experiment", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: alpha of the experiment file must lie in (0, 1], "
+                            f"got {float(alpha)!r}\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--process", "wstar"], ["--process", "ar1"], ["--p", "5"], ["--q", "0.9"],
+    ["--dist", "lognormal"], ["--n", "5000"], ["--test", "RP"],
+    ["--process", "wstar", "--p", "5", "--q", "0.9", "--dist", "lognormal", "--n", "5000",
+     "--test", "RP"],
+])
+def test_cmd_simulate_experiment_rejects_cell_flags(tmp_path, capsys, flags):
+    # the cells of the file set these; a flag beside it would be ignored
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"seed": 1, "cells": [
+        {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 2}]}))
+    assert main(["simulate", "--experiment", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    named = [flag for flag in flags if flag.startswith("--")]
+    assert captured.err == f"error: --experiment takes no {', '.join(named)} " \
+                           "(the cells of the experiment file set them)\n"
+
+
+def test_cmd_simulate_experiment_takes_reps_and_past_as_defaults(tmp_path, capsys):
+    cell = {"process": "ar1", "q": 0.5, "dist": "normal", "n": 64, "test": "G"}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"seed": 4, "cells": [cell, {**cell, "reps": 5, "past": 80}]}))
+    assert main(["simulate", "--experiment", str(path), "--reps", "3", "--past", "80"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[4] for row in rows] == ["3", "5"]
+    # the flag's past is the first cell's: its rate is the one of the cell's own past 80
+    argv = ["simulate", "--q", "0.5", "--n", "64", "--test", "G", "--reps", "3", "--past", "80",
+            "--seed", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",") == rows[0]
 
 
 @pytest.mark.parametrize("c", ["inf", "nan"])

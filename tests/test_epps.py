@@ -55,6 +55,15 @@ def test_lambda_type_guards():
         Lambda(values=np.array([1.0, 2.0]), mode="other")
 
 
+def test_lambda_rejects_non_positive_and_non_finite_frequencies():
+    for bad in (0.0, -0.0, -1.0, math.inf, -math.inf, math.nan):
+        for values in ([bad, 1.0], [1.0, bad]):
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                _lam(values)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        _lam([0.5, 0.5])
+
+
 def test_lambda_takes_exactly_two_frequencies():
     for values in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], []):
         with pytest.raises(ValueError, match="exactly two"):
@@ -174,6 +183,39 @@ def test_pinv_penrose_identities():
 def test_pinv_rejects_asymmetric():
     with pytest.raises(ValueError):
         pseudo_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        pseudo_inverse(np.eye(4) + 1e-9 * np.triu(np.ones((4, 4)), 1))
+    with pytest.raises(ValueError, match="square"):
+        pseudo_inverse(np.ones((2, 3)))
+
+
+def _pinv_symmetrized(a, tol_rel=1e-12):
+    # pseudo_inverse's formula with the symmetrization (a + a^T)/2 always made
+    eigvals, eigvecs = np.linalg.eigh((a + a.T) / 2.0)
+    cutoff = tol_rel * float(np.max(np.abs(eigvals)))
+    inv = np.zeros_like(eigvals)
+    keep = np.abs(eigvals) >= cutoff
+    if cutoff == 0.0:
+        keep = np.zeros_like(keep)
+    inv[keep] = 1.0 / eigvals[keep]
+    return (eigvecs * inv) @ eigvecs.T
+
+
+def test_pinv_equals_the_symmetrized_formula():
+    # exactly symmetric input (the spectral matrices of the fit, and products
+    # b'b of any rank) and input symmetric only within the tolerance give the
+    # bits of the formula that always symmetrizes
+    gen = np.random.default_rng(65)
+    mats = [2.0 * math.pi * spectral_density_at_zero(y, draw_lambda(y.autocovariance(0)))
+            for y in (Series(gen.standard_normal(n)) for n in (20, 100, 1000))]
+    for rank in range(1, 5):
+        b = gen.standard_normal((rank, 4))
+        mats.append(b.T @ b)
+    for m in mats:
+        assert (m == m.T).all()
+        skewed = m + 1e-13 * np.abs(m).max() * np.triu(gen.standard_normal((4, 4)), 1)
+        for a in (m, skewed):
+            assert pseudo_inverse(a).tobytes() == _pinv_symmetrized(a).tobytes()
 
 
 # -- quadratic form ------------------------------------------------------------------
@@ -358,6 +400,24 @@ def test_grid_seeds_from_the_eight_neighbour_definition(monkeypatch):
     monkeypatch.setattr(epps, "_local_minima", local_minima_brute)
     brute = [epps._grid_seeds(*grid) for grid in grids]
     assert len(fast) == 240 and fast == brute
+
+
+def test_grid_seeds_repeat_and_the_cached_grid_is_read_only():
+    # the u grid of each size is built once; a repeated call gives the same seeds
+    grids = []
+    for _, (g_target, g_plus, lam, mu0, gamma0) in _projected_fit_cases()[::10]:
+        weights, vectors = np.linalg.eigh(g_plus)
+        sd = math.sqrt(gamma0)
+        grids.append((g_target, weights, vectors, tuple(lam.values * sd), tuple(lam.values * mu0)))
+    assert [epps._grid_seeds(*grid) for grid in grids] == [epps._grid_seeds(*grid) for grid in grids]
+    assert epps._u_grid.cache_info().currsize <= epps._GRID_U[1] - epps._GRID_U[0] + 1
+    for count in (epps._GRID_U[0], 100, epps._GRID_U[1]):
+        us, hu = epps._u_grid(count)
+        want, want_hu = epps._grid_points(epps._U_MAX, count, epps._CENTRE_U)
+        assert us.tobytes() == want.tobytes() and hu == want_hu
+        assert not us.flags.writeable
+    assert not epps._S_EXP.flags.writeable
+    assert epps._S_EXP.tobytes() == np.exp(epps._S_POINTS).tobytes()
 
 
 def test_fit_reports_the_alias_nearest_the_mean():

@@ -1,6 +1,10 @@
 """Golden fixed-seed outputs of the command line (in tests/golden/), and the
 link between its two front ends.
 
+`rpgauss test` runs on two series: series.txt (n = 200) and series_n100.txt,
+an AR(1) q = 0.5 normal path of n = 100, where every Beta(2, 7) direction
+comes from one block of gamma draws.
+
 `rpgauss simulate` must reproduce its CSV byte for byte. In the JSON of
 `rpgauss test`, keys, strings, ints and statistics must be identical; the
 p-value fields may move by 1e-13 relative, the drift allowed for the
@@ -18,8 +22,12 @@ from rpgauss.cli import main, read_values
 from rpgauss.simulation import compute_p_value, parse_test_kind
 
 GOLDEN = Path(__file__).parent / "golden"
-SERIES = str(GOLDEN / "series.txt")
 KINDS = ("E", "G", "GE", "RP", "RPmulti:3")
+# series file -> reports file and the test id prefix
+REPORTS = {"series.txt": ("test_reports.json", ""),
+           "series_n100.txt": ("test_reports_n100.json", "n100-")}
+SERIES_KINDS = [pytest.param(name, kind, id=prefix + kind)
+                for name, (_, prefix) in REPORTS.items() for kind in KINDS]
 P_FIELDS = ("p_value", "combined_p")
 
 SIMULATE = {
@@ -31,8 +39,8 @@ SIMULATE = {
 }
 
 
-def _test_report(kind, capsys):
-    assert main(["test", "--input", SERIES, "--test", kind, "--seed", "5"]) == 0
+def _test_report(series, kind, capsys):
+    assert main(["test", "--input", series, "--test", kind, "--seed", "5"]) == 0
     return json.loads(capsys.readouterr().out)
 
 
@@ -61,18 +69,19 @@ def test_simulate_csv_matches_golden(name, workers, capsys):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_test_json_matches_golden(kind, capsys):
-    report = _test_report(kind, capsys)
-    assert report.pop("input") == SERIES
-    want = json.loads((GOLDEN / "test_reports.json").read_text())[kind]
+@pytest.mark.parametrize("name, kind", SERIES_KINDS)
+def test_test_json_matches_golden(name, kind, capsys):
+    series = str(GOLDEN / name)
+    report = _test_report(series, kind, capsys)
+    assert report.pop("input") == series
+    want = json.loads((GOLDEN / REPORTS[name][0]).read_text())[kind]
     _assert_same(report, want)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_printed_p_value_is_compute_p_value(kind, capsys):
+@pytest.mark.parametrize("name, kind", SERIES_KINDS)
+def test_printed_p_value_is_compute_p_value(name, kind, capsys):
     # `rpgauss test` and a simulation replication run the same dispatch
-    printed = _test_report(kind, capsys)["result"]["p_value"]
+    printed = _test_report(str(GOLDEN / name), kind, capsys)["result"]["p_value"]
     parsed, k_pairs = parse_test_kind(kind)
-    series = Series(read_values(SERIES))
+    series = Series(read_values(str(GOLDEN / name)))
     assert printed == compute_p_value(series, parsed, RngStream(5), k_pairs=k_pairs)

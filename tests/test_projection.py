@@ -24,9 +24,10 @@ def test_stick_breaking_matches_per_stick_draws():
     # the stream at the same place: the next draw is equal
     past_first_block = 0
     for alpha1, alpha2 in ((100.0, 1.0), (2.0, 7.0), (0.5, 0.5), (1.0, 1.0), (1.0, 3.0)):
-        for n_cap in (1, 5, 100, 130, 10_000):
+        for n_cap in (1, 5, 100, 130, 1000, 10_000):
             for delta in (1e-300, 1e-15, 0.5, 1.0 - 1e-12):
-                for seed in range(4):
+                # more seeds where directions can run past the first block
+                for seed in range(4 if n_cap <= projection._FIRST_BLOCK else 12):
                     mine, ref = RngStream(seed, n_cap), RngStream(seed, n_cap)
                     params = StickBreakingParams(alpha1, alpha2, n_cap=n_cap, delta=delta)
                     sticks = stick_breaking(params, mine)
@@ -36,6 +37,17 @@ def test_stick_breaking_matches_per_stick_draws():
                     assert mine.random() == ref.random(), where
                     past_first_block += alpha2 != 1.0 and sticks.size > projection._FIRST_BLOCK
     assert past_first_block >= 50
+
+
+def test_weights_are_the_formula_inside_and_beyond_the_table():
+    # a_0 = 1 and a_i = 1/(i*i), bit for bit, as read-only arrays
+    table = projection._WEIGHTS.size
+    for count in (1, table, table + 1, 10_000):
+        idx = np.arange(count, dtype=float)
+        idx[0] = 1.0
+        got = projection._weights(count)
+        assert got.dtype == np.float64 and got.tobytes() == (1.0 / (idx * idx)).tobytes(), count
+        assert not got.flags.writeable, count
 
 
 def test_degenerate_delta_gives_single_stick():
