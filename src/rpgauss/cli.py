@@ -111,16 +111,17 @@ def _lv_config(args) -> LvConfig:
 def run_test_command(args) -> dict:
     _, kind, k_pairs = resolve_test(args.test, args.projections)
     series = Series(read_values(args.input))
-    result = run_test(series, kind, RngStream(args.seed), k_pairs, args.epps_lambda,
-                      _lv_config(args), alpha=args.alpha)
+    seed, alpha = _flag(args, "seed"), _flag(args, "alpha")
+    result = run_test(series, kind, RngStream(seed), k_pairs, args.epps_lambda,
+                      _lv_config(args), alpha=alpha)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "test",
         "input": args.input,
         "n": series.n,
         "test": args.test,
-        "alpha": args.alpha,
-        "seed": args.seed,
+        "alpha": alpha,
+        "seed": seed,
         "result": result.as_dict(),
     }
 
@@ -138,14 +139,15 @@ def _csv_list(text: str) -> list[str]:
 
 
 # The keys of an experiment file, and of a cell of each process in it. Each
-# cell key but reps is also a flag that is None when not given, so that a run
-# can tell it given: the flags of the other process are rejected, and so is
-# every cell flag but --past beside --experiment.
+# key but cells and reps is also a flag that is None when not given, so that
+# a run can tell it given: the flags of the other process are rejected, and so
+# is every cell flag but --past beside --experiment, and --seed or --alpha
+# beside a file that sets seed or alpha.
 _EXPERIMENT_KEYS = ("seed", "alpha", "cells")
 _CELL_KEYS = {"ar1": ("process", "q", "dist", "n", "test", "reps", "past"),
               "wstar": ("process", "p", "n", "test", "reps")}
 _FLAG_DEFAULTS = {"process": "ar1", "test": "RP", "n": "100", "q": "0", "dist": "normal",
-                  "past": DEFAULT_PAST}
+                  "past": DEFAULT_PAST, "seed": 0, "alpha": 0.05}
 _FILE_CELL_FLAGS = ("process", "p", "q", "dist", "n", "test")  # given in each file cell
 
 
@@ -194,6 +196,11 @@ def _cells_from_file(path: str, args) -> list[dict]:
     if unknown:
         raise ValueError(f"experiment file: unknown key {', '.join(map(repr, unknown))} "
                          f"(it takes {', '.join(_EXPERIMENT_KEYS)})")
+    given = [key for key in ("seed", "alpha")
+             if key in experiment and getattr(args, key) is not None]
+    if given:
+        raise ValueError(f"--experiment takes no {', '.join('--' + key for key in given)} "
+                         f"(the experiment file sets {', '.join(given)})")
     if "seed" in experiment:
         args.seed = _integral(experiment["seed"], "seed")
     if "alpha" in experiment:
@@ -255,6 +262,7 @@ def run_simulate_command(args, out) -> None:
         cells = _cells_from_file(args.experiment, args)
     else:
         cells = _cells_from_args(args)
+    args.seed, args.alpha = _flag(args, "seed"), _flag(args, "alpha")
     if not cells:
         raise ValueError("no simulation cells requested")
     # the values every cell shares are checked once, by their flag; an alpha
@@ -293,8 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, default=0.05, help="test level (default 0.05)")
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    # --seed and --alpha default to None, so that simulate can tell them given (_flag)
+    common.add_argument("--alpha", type=float, default=None,
+                        help=f"test level (default {_FLAG_DEFAULTS['alpha']})")
+    common.add_argument("--seed", type=int, default=None,
+                        help=f"master seed (default {_FLAG_DEFAULTS['seed']})")
     common.add_argument("--c", type=float, default=1.0,
                         help="lag-window constant of the skewness-kurtosis test (default 1)")
     common.add_argument("--beta0", type=float, default=0.5,

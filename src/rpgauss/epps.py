@@ -156,7 +156,7 @@ def spectral_density_at_zero(y: Series, lam: Lambda,
 
 
 def pseudo_inverse(mat: np.ndarray, tol_rel: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric matrix via eigendecomposition.
+    """Moore-Penrose pseudo-inverse of a symmetric matrix from its eigenpairs.
 
     Eigenvalues of magnitude below tol_rel times the largest magnitude are
     treated as zero, which keeps the inverse finite when the estimated

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, sample_beta, sample_betas
+from .rng import RngStream
 from .series import Series
 
 
@@ -38,8 +38,10 @@ def _weights(count: int) -> np.ndarray:
 class StickBreakingParams:
     """Parameters of the stick-breaking draw.
 
-    `n_cap` bounds the number of sticks by the observed sample length;
-    `delta` is the mass left unassigned before truncation kicks in.
+    `alpha1` and `alpha2` are positive integers (Beta fractions with integer
+    parameters are order statistics of uniforms); `n_cap` bounds the number
+    of sticks by the observed sample length; `delta` is the mass left
+    unassigned before truncation kicks in.
     """
 
     alpha1: float
@@ -48,12 +50,12 @@ class StickBreakingParams:
     delta: float = 1e-15
 
     def __post_init__(self):
-        if self.alpha1 <= 0.0 or self.alpha2 <= 0.0:
-            raise ValueError("alpha1 and alpha2 must be positive")
+        for name in ("alpha1", "alpha2", "n_cap"):
+            value = getattr(self, name)
+            if not (value >= 1 and float(value).is_integer()):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if int(self.n_cap) != self.n_cap or self.n_cap < 1:
-            raise ValueError("n_cap must be a positive integer")
 
 
 _FIRST_BLOCK = 128  # fractions in the first block; each next block doubles
@@ -62,45 +64,43 @@ _FIRST_BLOCK = 128  # fractions in the first block; each next block doubles
 def stick_breaking(params: StickBreakingParams, rng: RngStream) -> np.ndarray:
     """Draw stick lengths l_0, l_1, ... with Beta(alpha1, alpha2) fractions.
 
-    Each stick is a beta fraction of the mass still unassigned. Drawing stops
-    at the first stick whose cumulative sum reaches 1 - delta, or after n_cap
-    sticks, whichever comes first.
+    Stick i is its fraction f_i of the mass still unassigned. Drawing stops
+    at the first stick after which that mass, prod_{j<=i} (1 - f_j), is at
+    most delta, or after n_cap sticks, whichever comes first.
 
-    A Beta(alpha1, 1) fraction is a single uniform, drawn by one sample_beta
-    call per stick. Other fractions come from sample_betas in blocks of 128,
-    256, 512, ... When the stopping stick falls inside a block, the stream is
-    rewound to where it was before that block and exactly the fractions used
-    are drawn again, so the stream ends where one sample_beta call per stick
-    leaves it, and the draws that follow on it (the CF test's random
-    frequencies) are unchanged.
+    A Beta(a1, 1) fraction is u ** (1/a1) of one uniform u, drawn one stick
+    at a time. Any other Beta(a1, a2) fraction is the a1-th smallest of
+    a1 + a2 - 1 uniforms, drawn in blocks of 128, 256, 512, ... rows, each
+    block whole. So a direction uses a fixed number of uniforms given its
+    stick count, and the draws that follow on the stream (the CF test's
+    random frequencies) start after them.
     """
-    a1, a2, n_cap = params.alpha1, params.alpha2, params.n_cap
-    stop = 1.0 - params.delta
-    sticks = []
-    total = 0.0
-    if a2 == 1.0:
+    a1, a2, n_cap, delta = int(params.alpha1), int(params.alpha2), params.n_cap, params.delta
+    if a2 == 1:
+        power = 1.0 / a1
+        sticks = []
+        left = 1.0
         for _ in range(n_cap):
-            piece = sample_beta(a1, a2, rng) * (1.0 - total)
-            sticks.append(piece)
-            total += piece
-            if total >= stop:
+            frac = rng.random() ** power
+            sticks.append(frac * left)
+            left *= 1.0 - frac
+            if left <= delta:
                 break
         return np.asarray(sticks)
-    block = _FIRST_BLOCK
-    while len(sticks) < n_cap:
-        count = min(block, n_cap - len(sticks))
-        before = rng.position()
-        for used, frac in enumerate(sample_betas(a1, a2, count, rng), start=1):
-            piece = frac * (1.0 - total)
-            sticks.append(piece)
-            total += piece
-            if total >= stop:
-                if used < count:
-                    rng.rewind(before)
-                    sample_betas(a1, a2, used, rng)
-                return np.asarray(sticks)
-        block *= 2
-    return np.asarray(sticks)
+    blocks = []
+    left, drawn, block = 1.0, 0, _FIRST_BLOCK
+    while drawn < n_cap:
+        count = min(block, n_cap - drawn)
+        fracs = np.partition(rng.randoms((count, a1 + a2 - 1)), a1 - 1, axis=1)[:, a1 - 1]
+        # lefts[k]: the mass left before stick k of the block, one product at a time
+        lefts = np.cumprod(np.concatenate(([left], 1.0 - fracs)))
+        # the sticks before the first k with lefts[k] <= delta, or the whole block
+        end = min(int(np.searchsorted(-lefts, -delta)), count)
+        blocks.append(fracs[:end] * lefts[:end])
+        if lefts[end] <= delta:
+            break
+        left, drawn, block = lefts[-1], drawn + count, 2 * block
+    return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def draw_projection_vector(params: StickBreakingParams, rng: RngStream) -> Proje
 def project_series(x: Series, pv: ProjectionVector) -> Series:
     """Project the path onto the direction: Y_t = sum_{i<=min(m,t)} h_i a_i X_{t-i}.
 
-    The output has the same length as the input; early positions use the
+    The output has the same length as the input; the first outputs use the
     ragged prefix of the direction (only past values down to index 0 exist).
     """
     coeffs = pv.h * _weights(pv.h.size)

@@ -79,8 +79,8 @@ class RngStream:
             u = self._gen.random()
         return u
 
-    def randoms(self, size: int) -> np.ndarray:
-        """Uniform draws in (0, 1)."""
+    def randoms(self, size) -> np.ndarray:
+        """Uniform draws in (0, 1); `size` is a count or a shape."""
         out = self._gen.random(size)
         mask = out == 0.0
         while mask.any():
@@ -97,52 +97,6 @@ class RngStream:
     def integers(self, high: int, size=None):
         """Uniform integers on {0, ..., high-1}."""
         return self._gen.integers(0, high, size=size)
-
-    def position(self) -> dict:
-        """The stream's current position, for rewind()."""
-        return self._gen.bit_generator.state
-
-    def rewind(self, position: dict) -> None:
-        """Return to a position taken by position(); the draws after it repeat."""
-        self._gen.bit_generator.state = position
-
-
-def sample_beta(a1: float, a2: float, rng: RngStream) -> float:
-    """One draw from Beta(a1, a2) via the gamma-ratio construction.
-
-    The conjugate case a2 = 1 uses the inverse CDF u**(1/a1) directly.
-    """
-    if a1 <= 0.0 or a2 <= 0.0:
-        raise ValueError("beta parameters must be positive")
-    if a2 == 1.0:
-        return rng.random() ** (1.0 / a1)
-    g1 = rng.standard_gamma(a1)
-    g2 = rng.standard_gamma(a2)
-    total = g1 + g2
-    while total == 0.0:
-        g1 = rng.standard_gamma(a1)
-        g2 = rng.standard_gamma(a2)
-        total = g1 + g2
-    return float(g1 / total)
-
-
-def sample_betas(a1: float, a2: float, count: int, rng: RngStream) -> list[float]:
-    """The values of `count` sample_beta calls for a2 != 1, drawn in one
-    block, leaving the stream where those calls leave it: one generator call
-    draws the gamma pairs in sample_beta's order (a1, a2, a1, a2, ...); a
-    zero-sum pair is skipped, as sample_beta redraws it, and the block is
-    topped up. Beta(a1, 1) draws are single uniforms: use sample_beta."""
-    if a1 <= 0.0 or a2 <= 0.0:
-        raise ValueError("beta parameters must be positive")
-    if a2 == 1.0:
-        raise ValueError("Beta(a1, 1) is drawn by sample_beta, not in blocks")
-    out: list[float] = []
-    while len(out) < count:
-        pairs = rng.standard_gamma((a1, a2), (count - len(out), 2))
-        g1, total = pairs[:, 0], pairs[:, 0] + pairs[:, 1]
-        kept = total != 0.0
-        out += (g1[kept] / total[kept]).tolist()
-    return out
 
 
 def sample_innovations(family: InnovationFamily, size: int, rng: RngStream) -> np.ndarray:

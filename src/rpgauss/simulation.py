@@ -132,7 +132,7 @@ def simulate_wstar_path(proc: WstarProcess, rng: RngStream) -> WstarPath:
     u = int(rng.integers(p))
     blocks = (n + u + p - 1) // p
     starts = np.asarray(rng.integers(p, size=blocks))
-    # position j of the concatenated blocks is step j % p of block j // p
+    # index j of the concatenated blocks is step j % p of block j // p
     j = np.arange(u, u + n)
     levels = (starts[j // p] + (j % p) * y0) % p
     uniforms = rng.randoms(n)

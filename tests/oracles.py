@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from rpgauss.exceptions import NumericalError
-from rpgauss.rng import sample_beta
+from rpgauss.projection import _FIRST_BLOCK
 
 
 # -- standard normal -----------------------------------------------------------
@@ -274,17 +274,34 @@ def reference_ar1(eps, q, past):
     return x[past:]
 
 
+def reference_fractions(alpha1, alpha2, n_cap, rng):
+    """The stick fractions, one at a time, from the uniforms the sampler
+    draws: u ** (1/a1) of one uniform for Beta(a1, 1), else the a1-th
+    smallest of each row of a1 + a2 - 1 uniforms, in whole blocks of
+    _FIRST_BLOCK, then twice as many, ... rows (at most n_cap in all)."""
+    a1, a2 = int(alpha1), int(alpha2)
+    drawn, block = 0, _FIRST_BLOCK
+    while drawn < n_cap:
+        if a2 == 1:
+            drawn += 1
+            yield rng.random() ** (1.0 / a1)
+            continue
+        count = min(block, n_cap - drawn)
+        drawn, block = drawn + count, 2 * block
+        for row in rng.randoms((count, a1 + a2 - 1)).tolist():
+            yield sorted(row)[a1 - 1]
+
+
 def reference_stick_breaking(alpha1, alpha2, n_cap, delta, rng):
-    """One sample_beta call per stick until the sticks reach 1 - delta or
-    n_cap of them are drawn."""
+    """Stick i = f_i times the mass left, prod_{j<i} (1 - f_j), multiplied
+    up one fraction at a time; stop once that mass is at most delta, or
+    after the n_cap fractions reference_fractions yields."""
     sticks = []
-    total = 0.0
-    for _ in range(n_cap):
-        frac = sample_beta(alpha1, alpha2, rng)
-        piece = frac * (1.0 - total)
-        sticks.append(piece)
-        total += piece
-        if total >= 1.0 - delta:
+    left = 1.0
+    for frac in reference_fractions(alpha1, alpha2, n_cap, rng):
+        sticks.append(frac * left)
+        left *= 1.0 - frac
+        if left <= delta:
             break
     return np.asarray(sticks)
 

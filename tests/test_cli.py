@@ -497,6 +497,38 @@ def test_cmd_simulate_experiment_rejects_cell_flags(tmp_path, capsys, flags):
                            "(the cells of the experiment file set them)\n"
 
 
+@pytest.mark.parametrize("keys, flags, named", [
+    ({"seed": 3}, ["--seed", "99"], "--seed"),
+    ({"alpha": 0.5}, ["--alpha", "0.1"], "--alpha"),
+    ({"seed": 3, "alpha": 0.5}, ["--alpha", "0.1", "--seed", "99"], "--seed, --alpha"),
+])
+def test_cmd_simulate_experiment_rejects_a_flag_its_file_sets(tmp_path, capsys, keys, flags,
+                                                               named):
+    # the file's value would silently replace the flag's
+    cell = {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 40}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**keys, "cells": [cell]}))
+    assert main(["simulate", "--experiment", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --experiment takes no {named} "
+                            f"(the experiment file sets {named.replace('--', '')})\n")
+
+
+def test_cmd_simulate_experiment_keeps_the_flags_its_file_does_not_set(tmp_path, capsys):
+    cell = {"process": "ar1", "q": 0.0, "dist": "normal", "n": 64, "test": "G", "reps": 40}
+    path = tmp_path / "exp.json"
+    rows = []
+    for keys, flags in (({"seed": 3}, ["--alpha", "0.1"]), ({"alpha": 0.1}, ["--seed", "3"])):
+        path.write_text(json.dumps({**keys, "cells": [cell]}))
+        assert main(["simulate", "--experiment", str(path), *flags]) == 0
+        rows.append(capsys.readouterr().out)
+    argv = ["simulate", "--q", "0", "--n", "64", "--test", "G", "--reps", "40", "--seed", "3",
+            "--alpha", "0.1"]
+    assert main(argv) == 0
+    assert rows == [capsys.readouterr().out] * 2
+
+
 def test_cmd_simulate_experiment_takes_reps_and_past_as_defaults(tmp_path, capsys):
     cell = {"process": "ar1", "q": 0.5, "dist": "normal", "n": 64, "test": "G"}
     path = tmp_path / "exp.json"

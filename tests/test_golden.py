@@ -1,9 +1,10 @@
 """Golden fixed-seed outputs of the command line (in tests/golden/), and the
 link between its two front ends.
 
-`rpgauss test` runs on two series: series.txt (n = 200) and series_n100.txt,
-an AR(1) q = 0.5 normal path of n = 100, where every Beta(2, 7) direction
-comes from one block of gamma draws.
+`rpgauss test` runs on two series: series.txt (n = 200), where some Beta(2, 7)
+directions run past the first block of 128 sticks, and series_n100.txt, an
+AR(1) q = 0.5 normal path of n = 100, where every Beta(2, 7) direction takes
+all its 100 sticks from one block of uniforms.
 
 `rpgauss simulate` must reproduce its CSV byte for byte. In the JSON of
 `rpgauss test`, keys, strings, ints and statistics must be identical; the

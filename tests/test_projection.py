@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import reference_stick_breaking
+from oracles import ks_critical, ks_distance, reference_fractions, reference_stick_breaking
 from rpgauss import RngStream, Series
 from rpgauss import projection
 from rpgauss.projection import (StickBreakingParams, build_projection_vector,
@@ -11,19 +11,26 @@ from rpgauss.projection import (StickBreakingParams, build_projection_vector,
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        StickBreakingParams(0.0, 1.0, n_cap=10)
-    with pytest.raises(ValueError):
-        StickBreakingParams(1.0, 1.0, n_cap=10, delta=0.0)
-    with pytest.raises(ValueError):
-        StickBreakingParams(1.0, 1.0, n_cap=0)
+    for delta in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            StickBreakingParams(1.0, 1.0, n_cap=10, delta=delta)
+    # Beta parameters must be positive integers: a NaN would give NaN sticks
+    # and an infinite alpha2 all-zero ones
+    for bad in (0.0, -1.0, math.nan, math.inf, 2.5, 0.5):
+        with pytest.raises(ValueError, match="alpha1 must be a positive integer"):
+            StickBreakingParams(bad, 1.0, n_cap=5)
+        with pytest.raises(ValueError, match="alpha2 must be a positive integer"):
+            StickBreakingParams(2.0, bad, n_cap=5)
+        with pytest.raises(ValueError, match="n_cap must be a positive integer"):
+            StickBreakingParams(2.0, 7.0, n_cap=bad)
+    assert StickBreakingParams(2, 7, n_cap=5) == StickBreakingParams(2.0, 7.0, n_cap=5)
 
 
 def test_stick_breaking_matches_per_stick_draws():
-    # block draws give the sticks of one sample_beta call per stick and leave
-    # the stream at the same place: the next draw is equal
+    # the vectorised blocks give, bit for bit, the sticks of the per-stick
+    # oracle on the same uniforms, and leave the stream at the same place
     past_first_block = 0
-    for alpha1, alpha2 in ((100.0, 1.0), (2.0, 7.0), (0.5, 0.5), (1.0, 1.0), (1.0, 3.0)):
+    for alpha1, alpha2 in ((100.0, 1.0), (2.0, 7.0), (1.0, 1.0), (1.0, 3.0)):
         for n_cap in (1, 5, 100, 130, 1000, 10_000):
             for delta in (1e-300, 1e-15, 0.5, 1.0 - 1e-12):
                 # more seeds where directions can run past the first block
@@ -33,10 +40,47 @@ def test_stick_breaking_matches_per_stick_draws():
                     sticks = stick_breaking(params, mine)
                     expected = reference_stick_breaking(alpha1, alpha2, n_cap, delta, ref)
                     where = (alpha1, alpha2, n_cap, delta, seed)
-                    assert np.array_equal(sticks, expected), where
+                    assert sticks.tobytes() == expected.tobytes(), where
                     assert mine.random() == ref.random(), where
                     past_first_block += alpha2 != 1.0 and sticks.size > projection._FIRST_BLOCK
     assert past_first_block >= 50
+
+
+def _uniforms_used(alpha1, alpha2, n_cap, sticks):
+    """Uniforms behind a direction: one per Beta(a1, 1) stick, else
+    a1 + a2 - 1 per row of every block drawn (128, 256, ... rows)."""
+    if alpha2 == 1:
+        return sticks
+    rows, block = 0, projection._FIRST_BLOCK
+    while rows < sticks:
+        rows, block = rows + min(block, n_cap - rows), 2 * block
+    return rows * int(alpha1 + alpha2 - 1)
+
+
+def test_a_direction_uses_a_fixed_count_of_uniforms():
+    # the next draw after a direction is the next one of a fresh stream that
+    # skipped exactly the uniforms of its sticks
+    for alpha1, alpha2 in ((100.0, 1.0), (2.0, 7.0), (1.0, 3.0)):
+        for n_cap, delta in ((5, 1e-15), (100, 1e-15), (1000, 1e-15), (1000, 1e-300)):
+            params = StickBreakingParams(alpha1, alpha2, n_cap=n_cap, delta=delta)
+            for seed in range(5):
+                rng, fresh = RngStream(seed, 2), RngStream(seed, 2)
+                sticks = stick_breaking(params, rng).size
+                fresh.randoms(_uniforms_used(alpha1, alpha2, n_cap, sticks))
+                assert rng.random() == fresh.random(), (alpha1, alpha2, n_cap, delta, seed)
+
+
+@pytest.mark.parametrize("alpha1, alpha2, cdf", [
+    pytest.param(2.0, 7.0, lambda x: 1.0 - (1.0 - x) ** 8 - 8.0 * x * (1.0 - x) ** 7, id="2-7"),
+    pytest.param(100.0, 1.0, lambda x: x**100, id="100-1"),
+    pytest.param(1.0, 1.0, lambda x: x, id="1-1"),
+])
+def test_first_stick_has_the_exact_beta_law(alpha1, alpha2, cdf):
+    # the first stick is the first fraction: KS at 1% against its exact CDF
+    params = StickBreakingParams(alpha1, alpha2, n_cap=100)
+    rng = RngStream(41)
+    first = [stick_breaking(params, rng)[0] for _ in range(4000)]
+    assert ks_distance(first, cdf) < ks_critical(0.01, len(first))
 
 
 def test_weights_are_the_formula_inside_and_beyond_the_table():
@@ -68,14 +112,21 @@ def test_stick_positivity_and_partial_sums():
 
 
 def test_stick_stop_rule():
-    params = StickBreakingParams(100.0, 1.0, n_cap=1000, delta=1e-15)
-    rng = RngStream(33)
-    for _ in range(100):
-        sticks = stick_breaking(params, rng)
-        total = float(np.sum(sticks))
-        assert total >= 1.0 - 1e-15 or sticks.size == 1000
-        # no earlier stick may already satisfy the stop rule
-        assert np.all(np.cumsum(sticks)[:-1] < 1.0 - 1e-15)
+    # replayed on a twin stream: each stick is its fraction times the mass
+    # left, prod (1 - f_j) multiplied up one fraction at a time, and only the
+    # last stick leaves at most delta (unless the cap binds)
+    for (alpha1, alpha2), seed in (((100.0, 1.0), 33), ((2.0, 7.0), 40)):
+        params = StickBreakingParams(alpha1, alpha2, n_cap=1000, delta=1e-15)
+        for stream_id in range(100):
+            sticks = stick_breaking(params, RngStream(seed, stream_id)).tolist()
+            fracs = reference_fractions(alpha1, alpha2, 1000, RngStream(seed, stream_id))
+            left, lefts = 1.0, []
+            for stick, frac in zip(sticks, fracs):
+                assert stick == frac * left
+                left *= 1.0 - frac
+                lefts.append(left)
+            assert lefts[-1] <= 1e-15 or len(sticks) == 1000
+            assert all(value > 1e-15 for value in lefts[:-1])
 
 
 def test_stick_cap_binds():
