@@ -89,21 +89,30 @@ class LvResult:
 def _statistic_parts(y: Series, cfg: LvConfig) -> tuple[float, float, float, int]:
     n = y.n
     tau = cfg.tau(n) if cfg.variant == MODIFIED else n - 1
-    f3 = f_hat_k(y, 3, tau)
-    f4 = f_hat_k(y, 4, tau)
-    mu2 = y.centered_moment(2)
+    # f_hat_k for k = 3 and 4, bit for bit, from one loop over one list
+    acov = y.autocovariances(tau).tolist()
+    total3 = total4 = 0.0
+    try:
+        for t in range(1, tau + 1):
+            gt = acov[t]
+            pair = gt + acov[tau + 1 - t]
+            total3 += gt * pair ** 2
+            total4 += gt * pair ** 3
+        f3, f4 = 2.0 * total3 + acov[0] ** 3, 2.0 * total4 + acov[0] ** 4
+    except OverflowError:
+        f3 = f4 = math.inf
+    if not math.isfinite(f3 + f4):  # f_hat_k names the one that overflowed
+        f3, f4 = f_hat_k(y, 3, tau), f_hat_k(y, 4, tau)
+    mu2 = acov[0]
     for k, f in ((3, f3), (4, f4)):
         if abs(f) < TINY:
             if mu2 > 0.0:
                 raise DegenerateSeriesError(f"long-run variance estimator f{k}_hat underflowed")
             raise DegenerateSeriesError("long-run variance estimator vanished (constant series?)")
-    mu3 = y.centered_moment(3)
-    mu4 = y.centered_moment(4)
+    mu3, mu4 = y.centered_moments(3, 4)
+    d3, d4 = (abs(f3), abs(f4)) if cfg.variant == MODIFIED else (f3, f4)
     try:
-        if cfg.variant == MODIFIED:
-            stat = n * mu3**2 / (6.0 * abs(f3)) + n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * abs(f4))
-        else:
-            stat = n * mu3**2 / (6.0 * f3) + n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
+        stat = n * mu3**2 / (6.0 * d3) + n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * d4)
     except OverflowError:
         stat = math.inf
     if not math.isfinite(stat):

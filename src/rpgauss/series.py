@@ -1,4 +1,4 @@
-"""A finite observed path with cached sample moments and autocovariances.
+"""A finite observed path with cached sample moments, and its autocovariances.
 
 All estimators use the divisor n (not n-1), at every lag, because the test
 statistics are defined in terms of these biased forms.
@@ -18,12 +18,12 @@ TINY = sys.float_info.min
 
 
 class Series:
-    """Immutable real-valued path. The deviations from the mean, the moments
-    and the autocovariances are computed lazily and cached, since the
-    marginal tests reuse them repeatedly.
+    """Immutable real-valued path. The deviations from the mean and the
+    moments are computed lazily and cached, since the marginal tests reuse
+    them repeatedly.
     """
 
-    __slots__ = ("_x", "_mean", "_dev", "_moments", "_acov")
+    __slots__ = ("_x", "_mean", "_dev", "_moments")
 
     def __init__(self, values):
         x = np.asarray(values, dtype=float)
@@ -39,7 +39,6 @@ class Series:
         self._mean: float | None = None
         self._dev: np.ndarray | None = None
         self._moments: dict[int, float] = {}
-        self._acov = np.empty(0)  # lags 0..size-1, extended on demand
 
     @property
     def values(self) -> np.ndarray:
@@ -75,55 +74,61 @@ class Series:
         the smallest normal float from deviations that are not all zero has
         underflowed and raises DegenerateSeriesError.
         """
-        if int(k) != k or k < 2:
-            raise ValueError(f"centered moment order must be an integer >= 2, got {k!r}")
-        k = int(k)
-        if k not in self._moments:
+        return self.centered_moments(k)[0]
+
+    def centered_moments(self, *orders: int) -> list[float]:
+        """centered_moment(k) for each k in orders, in order; the ones not yet
+        cached come from one square of the deviations."""
+        for k in orders:
+            if int(k) != k or k < 2:
+                raise ValueError(f"centered moment order must be an integer >= 2, got {k!r}")
+        missing = [int(k) for k in orders if k not in self._moments]
+        if missing:
             # products of the deviations: numpy's ** has no fast path beyond
             # the square, and calls pow() per element
             with np.errstate(over="ignore"):
                 dev = self._deviations()
                 square = dev * dev
-                power = square
-                for _ in range(k // 2 - 1):
-                    power = power * square
-                if k % 2:
-                    power = power * dev
-                moment = float(np.add.reduce(power) / self.n)
-            name = "sample variance" if k == 2 else f"sample centered moment of order {k}"
-            if not math.isfinite(moment):
-                raise NumericalError(f"{name} overflowed")
-            if k == 2 and moment < TINY and dev.any():
-                raise DegenerateSeriesError(
-                    f"{name} underflowed ({moment!r}): the values are too small to square")
-            self._moments[k] = moment
-        return self._moments[k]
-
-    def _lagged_product(self, lag: int) -> float:
-        dev = self._deviations()
-        return float(np.dot(dev[: self.n - lag], dev[lag:]) / self.n)
+                for k in missing:
+                    power = square
+                    for _ in range(k // 2 - 1):
+                        power = power * square
+                    if k % 2:
+                        power = power * dev
+                    moment = float(np.add.reduce(power) / self.n)
+                    name = "sample variance" if k == 2 else f"sample centered moment of order {k}"
+                    if not math.isfinite(moment):
+                        raise NumericalError(f"{name} overflowed")
+                    if k == 2 and moment < TINY and dev.any():
+                        raise DegenerateSeriesError(
+                            f"{name} underflowed ({moment!r}): the values are too small to square")
+                    self._moments[k] = moment
+        return [self._moments[k] for k in orders]
 
     def autocovariances(self, max_lag: int) -> np.ndarray:
-        """Sample autocovariances of orders 0..max_lag, as a read-only array;
-        each equals autocovariance(t)."""
+        """Sample autocovariances of orders 0..max_lag, computed afresh from
+        the values and max_lag alone. Lag 0 is centered_moment(2). With
+        m = n - max_lag, lag t >= 1 adds the lag-t products whose first
+        factor lies in the first m deviations (one np.correlate for all lags)
+        to those within the last max_lag (a second one), then divides by n.
+        So entry max_lag is autocovariance(max_lag) bit for bit, and entry
+        t < max_lag is autocovariance(t) up to rounding."""
         if int(max_lag) != max_lag or not 0 <= max_lag < self.n:
             raise ValueError(f"max_lag must be an integer in [0, {self.n - 1}], got {max_lag!r}")
-        max_lag = int(max_lag)
-        have = self._acov.size
-        if have <= max_lag:
-            # lag 0 is the second centered moment, kept exactly equal; the
-            # other lags are the values of _lagged_product, one dot per lag
-            # and one division of them all by n
-            first = [self.centered_moment(2)] if have == 0 else []
-            dev, n, dot = self._deviations(), self.n, np.dot
-            dots = [dot(dev[: n - lag], dev[lag:]) for lag in range(max(have, 1), max_lag + 1)]
-            acov = np.concatenate((self._acov, first, np.array(dots) / n))
-            acov.setflags(write=False)
-            self._acov = acov
-        return self._acov[: max_lag + 1]
+        tau, n = int(max_lag), self.n
+        variance = self.centered_moment(2)
+        dev = self._deviations()
+        sums = np.correlate(dev, dev[: n - tau], "valid")
+        if tau:
+            tail = dev[n - tau:]
+            sums[:-1] += np.correlate(tail, tail, "full")[tau - 1:]
+        acov = sums / n
+        acov[0] = variance
+        return acov
 
     def autocovariance(self, t: int) -> float:
-        """Sample autocovariance of order t, |t| <= n-1, divisor n at all lags."""
+        """Sample autocovariance of order t, |t| <= n-1, divisor n at all lags:
+        the last entry of autocovariances(|t|), from one O(n) product."""
         if int(t) != t:
             raise ValueError(f"lag must be an integer, got {t!r}")
         lag = abs(int(t))
@@ -132,7 +137,5 @@ class Series:
         if lag == 0:
             # identical formula to the second centered moment, kept exactly equal
             return self.centered_moment(2)
-        if lag < self._acov.size:
-            return float(self._acov[lag])
-        # one lag at a time stays O(n): the cached vector grows only in autocovariances
-        return self._lagged_product(lag)
+        dev = self._deviations()
+        return float(np.correlate(dev[lag:], dev[: self.n - lag])[0] / self.n)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpgauss import (Ar1Process, DegenerateSeriesError, InnovationFamily, NumericalError,
@@ -432,9 +432,11 @@ def test_fit_reports_the_alias_nearest_the_mean():
 
 
 def _projected_n2000():
-    # a fixed-seed AR(1) lognormal path of 2000 values on a Beta(2,7) direction
+    # a fixed-seed AR(1) chi-square(1) path of 2000 values on a Beta(2,7)
+    # direction; its innovations take no numpy exp, whose last bit depends on
+    # the SIMD dispatch level
     stream = RngStream(90)
-    proc = Ar1Process(q=0.5, innovation=InnovationFamily.STD_LOGNORMAL, n=2000, past=1000)
+    proc = Ar1Process(q=0.5, innovation=InnovationFamily.CHI_SQ_1, n=2000, past=1000)
     x = simulate_ar1(proc, stream)
     y = project_series(x, draw_projection_vector(StickBreakingParams(2.0, 7.0, n_cap=2000), stream))
     return y, stream
@@ -467,10 +469,10 @@ def test_cf_statistics_unchanged_on_a_projected_series():
     y, stream = _projected_n2000()
     fixed = epps_test(y, "fixed")
     assert (fixed.statistic, fixed.mu_n, fixed.gamma_n) == (
-        93.4499057601, 3.7860341813138247, 1.4134417329535114)
+        68.25542110805958, 2.2948084798159103, 0.8525646800274589)
     random = epps_test(y, "random", stream)
     assert (random.statistic, random.mu_n, random.gamma_n) == (
-        71.61664444915645, 3.7850435096310266, 1.4442528399674925)
+        60.14086892966244, 2.233602642400193, 0.6663636898056421)
 
 
 # -- full test -------------------------------------------------------------------------
@@ -515,12 +517,19 @@ def test_epps_location_shift_consistency():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 2), n=st.integers(50, 300), lognormal=st.booleans(),
        log_scale=st.floats(-3.0, 3.0), shift_sds=st.floats(-50.0, 50.0))
+@example(seed=268435456, n=50, lognormal=False, log_scale=0.0, shift_sds=1.0)
 def test_statistics_are_affine_invariant(seed, n, lognormal, log_scale, shift_sds):
     # y -> a y + b, a > 0: the fit works in unit scale, so E (fixed and random
     # frequencies on one substream) moves only by rounding that the spectral
     # matrix's conditioning amplifies; measured over 1200 draws, the relative
     # change stayed below 1e-10 where the kept eigenvalues of G+ span less
-    # than 1e6, and below 1.6e-13 times that span elsewhere
+    # than 1e6, and below 1.6e-13 times that span elsewhere.
+    # Where the fit is exact, n*Q is rounding noise, which the absolute term
+    # bounds: the form is sum_k w_k (e_k' d)^2 with d the CF vector minus the
+    # model, whose components have modulus at most 1 and so are known to one
+    # ulp of 1, eps; each e_k' d is then known to 2 eps ||e_k||_1 <= 4 eps,
+    # and n*Q cannot be resolved below n (4 eps)^2 sum_k w_k
+    eps = np.finfo(float).eps
     x = RngStream(seed).standard_normal(n)
     if lognormal:
         x = np.exp(x)
@@ -533,7 +542,8 @@ def test_statistics_are_affine_invariant(seed, n, lognormal, log_scale, shift_sd
             pseudo_inverse(2.0 * math.pi * spectral_density_at_zero(y, e_y.lam)))
         kept = weights[weights > 1e-12 * weights.max()]
         bound = 1e-9 + 1e-12 * kept.max() / kept.min()
-        assert abs(e_z.statistic - e_y.statistic) <= bound * e_y.statistic, mode
+        noise = n * (4.0 * eps) ** 2 * kept.sum()
+        assert abs(e_z.statistic - e_y.statistic) <= bound * e_y.statistic + noise, mode
     g_y, g_z = lv_test(y).statistic, lv_test(z).statistic
     assert abs(g_z - g_y) <= 1e-9 * g_y
 

@@ -9,7 +9,9 @@ all its 100 sticks from one block of uniforms.
 `rpgauss simulate` must reproduce its CSV byte for byte. In the JSON of
 `rpgauss test`, keys, strings, ints and statistics must be identical; the
 p-value fields may move by 1e-13 relative, the drift allowed for the
-chi-square survival function.
+chi-square survival function. `python tests/golden/regenerate.py` (with
+src/ on PYTHONPATH) rewrites the JSON goldens and prints how far each field
+moved.
 """
 
 import json

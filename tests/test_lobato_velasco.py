@@ -9,7 +9,7 @@ from rpgauss.lobato_velasco import f_hat_k
 from rpgauss.simulation import simulate_ar1
 from rpgauss.special import chi_square_sf
 
-from oracles import f_hat_brute, ks_distance
+from oracles import centered_moment_brute, f_hat_brute, ks_distance
 
 
 def test_config_validation():
@@ -115,6 +115,41 @@ def test_original_variant_sums_to_n_minus_1():
     mu2, mu3, mu4 = (y.centered_moment(k) for k in (2, 3, 4))
     expected = n * mu3**2 / (6.0 * f3) + n * (mu4 - 3 * mu2**2) ** 2 / (24.0 * f4)
     assert res.statistic == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["modified", "original"])
+def test_shared_loop_and_square_give_the_single_formulas(variant):
+    # lv_test takes f3 and f4 from one loop and mu3 and mu4 from one square of
+    # the deviations; each equals its own formula on the same autocovariances
+    for n in (8, 9, 100, 1000):
+        y = Series(RngStream(90 + n).standard_normal(n))
+        res = lv_test(y, LvConfig(variant=variant))
+        tau = res.tau_used
+        assert (res.f3_hat, res.f4_hat) == (f_hat_k(y, 3, tau), f_hat_k(y, 4, tau))
+        dev = y.values - y.mean()
+        square = dev * dev
+        mu2, mu3, mu4 = (float(np.add.reduce(power) / n)
+                         for power in (square, square * dev, square * square))
+        assert Series(y.values).centered_moments(2, 3, 4) == [mu2, mu3, mu4]
+        assert [y.centered_moment(k) for k in (2, 3, 4)] == [mu2, mu3, mu4]
+        f3, f4 = res.f3_hat, res.f4_hat
+        if variant == "modified":
+            f3, f4 = abs(f3), abs(f4)
+        assert res.statistic == n * mu3**2 / (6.0 * f3) + n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
+
+
+def test_original_variant_against_the_oracle():
+    # tau = n - 1: every lag, summed by the literal loops of the oracles
+    x = RngStream(91).standard_normal(200)
+    res = lv_test(Series(x), LvConfig(variant="original"))
+    assert res.tau_used == 199
+    f3, scale3 = f_hat_brute(x, 3, 199)
+    f4, scale4 = f_hat_brute(x, 4, 199)
+    assert abs(res.f3_hat - f3) <= 1e-10 * scale3
+    assert abs(res.f4_hat - f4) <= 1e-10 * scale4
+    mu2, mu3, mu4 = (centered_moment_brute(x, k) for k in (2, 3, 4))
+    expected = 200 * mu3**2 / (6.0 * f3) + 200 * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
+    assert res.statistic == pytest.approx(expected, rel=1e-9)
 
 
 def test_modified_statistic_nonnegative():

@@ -69,20 +69,40 @@ def test_against_brute_force():
 
 
 def test_autocovariances_are_the_single_lags():
-    x = RngStream(25).standard_normal(50)
-    single = Series(x)
-    want = [single.autocovariance(t) for t in range(50)]
+    # the vector for a given max_lag is computed afresh and depends on the
+    # values and max_lag alone: lag 0 is the variance, the last lag is
+    # autocovariance(max_lag), and a lag t between them adds the products whose
+    # first factor lies in the first m = n - max_lag deviations to those within
+    # the last max_lag; exact, not approximate
+    n = 50
+    x = RngStream(25).standard_normal(n)
+    dev = x - Series(x).mean()
+    fresh = {max_lag: Series(x).autocovariances(max_lag).tolist() for max_lag in range(n)}
     s = Series(x)
-    for max_lag in (0, 3, 12, 7, 49):  # grows the cached vector, then slices it
-        got = s.autocovariances(max_lag)
-        assert got.tolist() == want[: max_lag + 1]  # exact, not approximate
-        assert not got.flags.writeable
-    assert [s.autocovariance(t) for t in range(50)] == want
-    assert s.autocovariances(49) == pytest.approx(
-        [autocov_brute(x, t) for t in range(50)], rel=1e-12, abs=1e-12)
+    for max_lag in (0, 3, 12, 7, 49, 3):  # earlier calls change no bit
+        assert s.autocovariances(max_lag).tolist() == fresh[max_lag]
+    for max_lag, got in fresh.items():
+        assert len(got) == max_lag + 1
+        assert got[0] == s.centered_moment(2) == s.autocovariance(0)
+        assert got[-1] == s.autocovariance(max_lag) == s.autocovariance(-max_lag)
+        m, tail = n - max_lag, dev[n - max_lag:]
+        if m >= 12:  # np.correlate takes numpy's dot, as np.dot does, for 12 or more terms
+            for t in range(1, max_lag):
+                split = np.dot(dev[:m], dev[t:t + m]) + np.dot(tail[:max_lag - t], tail[t:])
+                assert got[t] == split / n
     for bad in (-1, 50, 2.5):
         with pytest.raises(ValueError):
             s.autocovariances(bad)
+
+
+@pytest.mark.parametrize("n", [8, 9, 100, 1000])
+def test_autocovariances_against_brute_force(n):
+    x = RngStream(26).standard_normal(n)
+    brute = [autocov_brute(x, t) for t in range(n)]
+    s = Series(x)
+    for max_lag in sorted({1, int(np.sqrt(n)), n - 1}):
+        assert s.autocovariances(max_lag) == pytest.approx(
+            brute[: max_lag + 1], rel=1e-12, abs=1e-12)
 
 
 def test_cauchy_schwarz_bound():
